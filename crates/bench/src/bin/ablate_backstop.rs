@@ -9,21 +9,15 @@
 use netsession_analytics::outcomes;
 use netsession_analytics::stats::Cdf;
 use netsession_baseline::bittorrent::{Swarm, SwarmConfig};
-use netsession_bench::runner::{
-    config_for, parse_args, write_metrics_sidecar, write_trace_sidecar,
-};
+use netsession_bench::runner::{config_for, parse_flags_or_exit, write_sidecars};
 use netsession_core::rng::DetRng;
 use netsession_hybrid::HybridSim;
 use netsession_logs::records::DownloadOutcome;
 use netsession_obs::MetricsRegistry;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let metrics = MetricsRegistry::new();
-    let args = parse_args();
-    eprintln!(
-        "# ablate_backstop: peers={} downloads={}",
-        args.peers, args.downloads
-    );
+    let args = parse_flags_or_exit("ablate_backstop");
 
     println!("A2: the infrastructure backstop");
     println!(
@@ -84,8 +78,8 @@ fn main() {
         orphaned.completion_rate() * 100.0
     );
 
-    write_metrics_sidecar("ablate_backstop", &metrics);
     if let Some(trace) = &baseline_trace {
-        write_trace_sidecar("ablate_backstop", trace);
+        write_sidecars("ablate_backstop", &metrics, trace)?;
     }
+    Ok(())
 }

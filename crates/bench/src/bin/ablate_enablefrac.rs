@@ -6,19 +6,13 @@
 //! willing-uploader fraction.
 
 use netsession_analytics::overview;
-use netsession_bench::runner::{
-    config_for, parse_args, write_metrics_sidecar, write_trace_sidecar,
-};
+use netsession_bench::runner::{config_for, parse_flags_or_exit, write_sidecars};
 use netsession_hybrid::HybridSim;
 use netsession_obs::MetricsRegistry;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let metrics = MetricsRegistry::new();
-    let args = parse_args();
-    eprintln!(
-        "# ablate_enablefrac: peers={} downloads={}",
-        args.peers, args.downloads
-    );
+    let args = parse_flags_or_exit("ablate_enablefrac");
 
     println!("A5: uploads-enabled fraction sweep");
     println!(
@@ -48,8 +42,8 @@ fn main() {
          yields the bulk of the achievable offload (diminishing returns)"
     );
 
-    write_metrics_sidecar("ablate_enablefrac", &metrics);
     if let Some(trace) = &baseline_trace {
-        write_trace_sidecar("ablate_enablefrac", trace);
+        write_sidecars("ablate_enablefrac", &metrics, trace)?;
     }
+    Ok(())
 }

@@ -6,19 +6,13 @@
 //! cross-region traffic.
 
 use netsession_analytics::astraffic;
-use netsession_bench::runner::{
-    config_for, parse_args, write_metrics_sidecar, write_trace_sidecar,
-};
+use netsession_bench::runner::{config_for, parse_flags_or_exit, write_sidecars};
 use netsession_hybrid::HybridSim;
 use netsession_obs::MetricsRegistry;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let metrics = MetricsRegistry::new();
-    let args = parse_args();
-    eprintln!(
-        "# ablate_locality: peers={} downloads={}",
-        args.peers, args.downloads
-    );
+    let args = parse_flags_or_exit("ablate_locality");
 
     let mut rows = Vec::new();
     let mut baseline_trace = None;
@@ -64,8 +58,8 @@ fn main() {
          (ISP-friendly), at equal p2p volume"
     );
 
-    write_metrics_sidecar("ablate_locality", &metrics);
     if let Some(trace) = &baseline_trace {
-        write_trace_sidecar("ablate_locality", trace);
+        write_sidecars("ablate_locality", &metrics, trace)?;
     }
+    Ok(())
 }

@@ -8,19 +8,13 @@
 //! peer's daily online window to model launch-on-demand clients.
 
 use netsession_analytics::overview;
-use netsession_bench::runner::{
-    config_for, parse_args, write_metrics_sidecar, write_trace_sidecar,
-};
+use netsession_bench::runner::{config_for, parse_flags_or_exit, write_sidecars};
 use netsession_hybrid::HybridSim;
 use netsession_obs::MetricsRegistry;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let metrics = MetricsRegistry::new();
-    let args = parse_args();
-    eprintln!(
-        "# ablate_sessions: peers={} downloads={}",
-        args.peers, args.downloads
-    );
+    let args = parse_flags_or_exit("ablate_sessions");
 
     println!("A6: background client vs launch-on-demand sessions");
     println!(
@@ -51,8 +45,8 @@ fn main() {
     println!();
     println!("expectation: shorter upload windows shrink swarm capacity and efficiency");
 
-    write_metrics_sidecar("ablate_sessions", &metrics);
     if let Some(trace) = &baseline_trace {
-        write_trace_sidecar("ablate_sessions", trace);
+        write_sidecars("ablate_sessions", &metrics, trace)?;
     }
+    Ok(())
 }

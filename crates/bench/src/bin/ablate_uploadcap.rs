@@ -5,20 +5,14 @@
 //! cap should skew upload volume toward a smaller set of (high-upstream)
 //! peers and ASes.
 
-use netsession_bench::runner::{
-    config_for, parse_args, write_metrics_sidecar, write_trace_sidecar,
-};
+use netsession_bench::runner::{config_for, parse_flags_or_exit, write_sidecars};
 use netsession_hybrid::HybridSim;
 use netsession_obs::MetricsRegistry;
 use std::collections::HashMap;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let metrics = MetricsRegistry::new();
-    let args = parse_args();
-    eprintln!(
-        "# ablate_uploadcap: peers={} downloads={}",
-        args.peers, args.downloads
-    );
+    let args = parse_flags_or_exit("ablate_uploadcap");
 
     println!("A3: the per-object upload cap");
     println!(
@@ -59,8 +53,8 @@ fn main() {
     println!();
     println!("expectation: uncapped concentrates upload volume on fewer peers");
 
-    write_metrics_sidecar("ablate_uploadcap", &metrics);
     if let Some(trace) = &baseline_trace {
-        write_trace_sidecar("ablate_uploadcap", trace);
+        write_sidecars("ablate_uploadcap", &metrics, trace)?;
     }
+    Ok(())
 }

@@ -10,7 +10,7 @@
 //! the always-sampled fault trace spans.
 
 use netsession_bench::runner::{
-    config_for, parse_args, pct, write_metrics_sidecar, write_trace_sidecar,
+    config_for, parse_flags_or_exit, pct, write_result, write_sidecars,
 };
 use netsession_hybrid::alerts::FAULT_CLASS_RULES;
 use netsession_hybrid::{FaultEvent, FaultKind, HybridSim, SimOutput};
@@ -73,13 +73,7 @@ fn write_alerts_sidecars(
     ttd: &[(&str, &str, u64, Option<u64>)],
     log: &[AlertEvent],
     baseline_alerts: usize,
-) {
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("# alerts sidecars skipped: cannot create results/: {e}");
-        return;
-    }
-
+) -> std::io::Result<()> {
     let mut txt = String::from("# chaos-run alert transitions (virtual time)\n");
     for e in log {
         txt.push_str(&format!(
@@ -119,13 +113,8 @@ fn write_alerts_sidecars(
     }
     json.push_str("  ]\n}\n");
 
-    for (name, body) in [("alerts.txt", txt), ("alerts.json", json)] {
-        let path = dir.join(name);
-        match std::fs::write(&path, body) {
-            Ok(()) => eprintln!("# alerts sidecar: {}", path.display()),
-            Err(e) => eprintln!("# alerts sidecar skipped: {e}"),
-        }
-    }
+    write_result("alerts", "txt", txt.as_bytes())?;
+    write_result("alerts", "json", json.as_bytes())
 }
 
 fn completion_rate(out: &SimOutput) -> f64 {
@@ -168,9 +157,8 @@ fn daily_efficiency(out: &SimOutput) -> BTreeMap<u64, f64> {
         .collect()
 }
 
-fn main() {
-    let args = parse_args();
-    eprintln!("# chaos: peers={} downloads={}", args.peers, args.downloads);
+fn main() -> std::io::Result<()> {
+    let args = parse_flags_or_exit("chaos");
     let cfg = config_for(&args);
 
     let baseline = HybridSim::run_config(cfg.clone());
@@ -182,10 +170,9 @@ fn main() {
     let mut chaos_cfg = cfg;
     chaos_cfg.faults.events = campaign();
     let out = HybridSim::run_config(chaos_cfg);
-    write_metrics_sidecar("chaos", &out.metrics);
-    write_trace_sidecar("chaos", &out.trace);
+    write_sidecars("chaos", &out.metrics, &out.trace)?;
     let ttd = detection_table(&out);
-    write_alerts_sidecars(&ttd, &out.alerts, baseline.alerts.len());
+    write_alerts_sidecars(&ttd, &out.alerts, baseline.alerts.len())?;
 
     println!("injected campaign (one fault class per week, all 9 regions):");
     println!(
@@ -333,4 +320,5 @@ fn main() {
         out.alerts.iter().filter(|e| e.raised).count()
     );
     assert_eq!(missed, 0, "every injected fault class must be detected");
+    Ok(())
 }

@@ -15,7 +15,7 @@
 //! `results/flownet_scale.metrics.json` — the repo's first perf-trajectory
 //! baseline.
 
-use netsession_bench::runner::write_metrics_sidecar;
+use netsession_bench::runner::write_result;
 use netsession_core::rng::DetRng;
 use netsession_core::units::Bandwidth;
 use netsession_obs::MetricsRegistry;
@@ -36,7 +36,7 @@ struct Swarm {
     flows: Vec<(FlowId, FlowId)>,
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let registry = MetricsRegistry::new();
     println!("FlowNet scaling: incremental recompute_dirty vs full recompute");
     println!(
@@ -169,5 +169,9 @@ fn main() {
             .add((speedup * 100.0) as u64);
     }
 
-    write_metrics_sidecar("flownet_scale", &registry);
+    write_result(
+        "flownet_scale",
+        "metrics.json",
+        registry.full_snapshot_json().as_bytes(),
+    )
 }

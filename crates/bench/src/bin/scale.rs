@@ -333,7 +333,14 @@ fn main() {
     }
 
     // Sidecars (stderr-announced, stdout untouched).
-    netsession_bench::runner::write_metrics_sidecar("scale", &registry);
+    if let Err(e) = netsession_bench::runner::write_result(
+        "scale",
+        "metrics.json",
+        registry.full_snapshot_json().as_bytes(),
+    ) {
+        eprintln!("scale: {e}");
+        std::process::exit(1);
+    }
     let dir = std::path::Path::new("results");
     if std::fs::create_dir_all(dir).is_ok() {
         let timings = profiler.timings();

@@ -1,9 +1,9 @@
 //! Drill into an exported download trace.
 //!
 //! Usage:
-//!   trace_explain --trace results/headline.trace.json            # index
-//!   trace_explain --trace results/headline.trace.json --download 3
-//!   trace_explain --trace results/headline.trace.json --download 000100000000002a
+//!   trace_explain --trace results/paper.trace.json            # index
+//!   trace_explain --trace results/paper.trace.json --download 3
+//!   trace_explain --trace results/paper.trace.json --download 000100000000002a
 //!
 //! With `--download` (an index from the listing, or a 16-hex-digit trace
 //! id) it prints the full causal narrative for that download: contacts

@@ -1,7 +1,8 @@
 //! Causal drill-down over exported download traces.
 //!
-//! The experiment binaries write `results/<bin>.trace.json` (Chrome
-//! trace-event JSON, see `netsession_obs`'s trace exporter). This module
+//! The experiment binaries write `results/<bin>.trace.json` — the
+//! standard run's is `results/paper.trace.json` — (Chrome trace-event
+//! JSON, see `netsession_obs`'s trace exporter). This module
 //! reads one of those files back and reconstructs the *story* of a
 //! download: how many sources the control plane offered, which connect
 //! attempts succeeded or why they were rejected, what the NAT penalty

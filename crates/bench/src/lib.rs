@@ -1,17 +1,19 @@
 //! # netsession-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
-//! DESIGN.md's per-experiment index), ablation binaries, and Criterion
-//! micro-benchmarks in `benches/`.
+//! The experiment harness: the `paper` driver, which renders every
+//! table/figure of the paper from one simulated month (the [`paper`]
+//! table; see DESIGN.md's per-experiment index), ablation binaries, and
+//! Criterion micro-benchmarks in `benches/`.
 //!
-//! All experiment binaries accept `--scale <peers>` and `--downloads <n>`
-//! to trade fidelity for runtime, and print the same rows/series the paper
-//! reports.
+//! `paper`, `chaos` and the `ablate_*` binaries accept `--scale <peers>`,
+//! `--downloads <n>` and `--seed <s>` to trade fidelity for runtime, and
+//! print the same rows/series the paper reports.
 
 pub mod explain;
+pub mod paper;
 pub mod profile_lint;
 pub mod runner;
 pub mod trend;
 pub mod ts_lint;
 
-pub use runner::{parse_args, run_default, ExperimentArgs};
+pub use runner::{run_default, ExperimentArgs};

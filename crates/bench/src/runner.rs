@@ -26,20 +26,49 @@ impl Default for ExperimentArgs {
     }
 }
 
-/// Parse `--scale <peers>`, `--downloads <n>`, `--seed <s>` from argv.
-pub fn parse_args() -> ExperimentArgs {
-    let mut args = ExperimentArgs::default();
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => args.peers = argv[i + 1].parse().expect("--scale <peers>"),
-            "--downloads" => args.downloads = argv[i + 1].parse().expect("--downloads <n>"),
-            "--seed" => args.seed = argv[i + 1].parse().expect("--seed <s>"),
-            other => panic!("unknown flag {other} (expected --scale/--downloads/--seed)"),
-        }
-        i += 2;
+/// Parse `--scale <peers>`, `--downloads <n>`, `--seed <s>` and positional
+/// experiment names (in any order) from the arguments after the program
+/// name.
+pub fn parse_args_from(argv: &[String]) -> Result<(ExperimentArgs, Vec<String>), String> {
+    fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+        let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+        v.parse()
+            .map_err(|_| format!("{flag}: {v:?} is not a number"))
     }
+    let mut args = ExperimentArgs::default();
+    let mut names = Vec::new();
+    let mut it = argv.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--scale" => args.peers = value(a, it.next())?,
+            "--downloads" => args.downloads = value(a, it.next())?,
+            "--seed" => args.seed = value(a, it.next())?,
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            _ => names.push(a.clone()),
+        }
+    }
+    Ok((args, names))
+}
+
+/// Print `msg` and the shared usage line (plus the binary's positional
+/// `names` grammar, if it takes any) to stderr and exit 2.
+pub fn usage_exit(bin: &str, names: &str, msg: &str) -> ! {
+    eprintln!("{bin}: {msg}");
+    eprintln!("usage: {bin} [--scale <peers>] [--downloads <n>] [--seed <s>]{names}");
+    std::process::exit(2)
+}
+
+/// This process's arguments for a binary that takes the shared flags and
+/// no positional names, announced on stderr; anything else exits 2 with
+/// the usage line.
+pub fn parse_flags_or_exit(bin: &str) -> ExperimentArgs {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args_from(&argv) {
+        Ok((args, names)) if names.is_empty() => args,
+        Ok((_, names)) => usage_exit(bin, "", &format!("unexpected argument {}", names[0])),
+        Err(e) => usage_exit(bin, "", &e),
+    };
+    eprintln!("# {bin}: peers={} downloads={}", args.peers, args.downloads);
     args
 }
 
@@ -71,40 +100,35 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Write the run's metrics snapshot next to the experiment results as
-/// `results/<name>.metrics.json`. The sidecar is a separate file, so the
-/// experiment's stdout stays byte-identical run-to-run; the snapshot itself
-/// includes the volatile (wall-clock) section for perf inspection.
-pub fn write_metrics_sidecar(name: &str, metrics: &MetricsRegistry) {
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("# metrics sidecar skipped: cannot create results/: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.metrics.json"));
-    match std::fs::write(&path, metrics.full_snapshot_json()) {
-        Ok(()) => eprintln!("# metrics sidecar: {}", path.display()),
-        Err(e) => eprintln!("# metrics sidecar skipped: {e}"),
-    }
+/// Write `bytes` to `results/<name>.<ext>` (relative to the working
+/// directory) and announce the path on stderr. Separate files keep
+/// experiment stdout byte-identical run-to-run. The error names the path;
+/// callers propagate it and exit non-zero rather than leave a stale file.
+pub fn write_result(name: &str, ext: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let path = std::path::Path::new("results").join(format!("{name}.{ext}"));
+    std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write(&path, bytes))
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    eprintln!("# wrote {}", path.display());
+    Ok(())
 }
 
-/// Write the run's sampled download traces as Chrome trace-event JSON
-/// (`results/<name>.trace.json`, loadable in Perfetto / `chrome://tracing`
-/// and readable by the `trace_explain` binary). Like the metrics sidecar
-/// this goes to a separate file so experiment stdout stays byte-identical;
-/// unlike it, the export itself is fully deterministic — same seed, same
-/// bytes.
-pub fn write_trace_sidecar(name: &str, trace: &TraceSink) {
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("# trace sidecar skipped: cannot create results/: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.trace.json"));
-    match std::fs::write(&path, trace.export_chrome_json()) {
-        Ok(()) => eprintln!("# trace sidecar: {}", path.display()),
-        Err(e) => eprintln!("# trace sidecar skipped: {e}"),
-    }
+/// Write a run's telemetry pair: `results/<name>.metrics.json` (the full
+/// snapshot, volatile wall-clock section included) and
+/// `results/<name>.trace.json` (the sampled download traces as Chrome
+/// trace-event JSON for Perfetto and `trace_explain`; deterministic — same
+/// seed, same bytes).
+pub fn write_sidecars(
+    name: &str,
+    metrics: &MetricsRegistry,
+    trace: &TraceSink,
+) -> std::io::Result<()> {
+    write_result(
+        name,
+        "metrics.json",
+        metrics.full_snapshot_json().as_bytes(),
+    )?;
+    write_result(name, "trace.json", trace.export_chrome_json().as_bytes())
 }
 
 #[cfg(test)]
@@ -130,6 +154,35 @@ mod tests {
         assert_eq!(c.workload.downloads, 2_000);
         assert!(c.population.ases >= 100);
         assert!(c.objects >= 250);
+    }
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn names_interleave_with_flags() {
+        let (a, names) = parse_args_from(&argv(
+            "fig5 --scale 2000 table4 --seed 7 --downloads 3000 fig2",
+        ))
+        .unwrap();
+        assert_eq!((a.peers, a.downloads, a.seed), (2_000, 3_000, 7));
+        assert_eq!(names, ["fig5", "table4", "fig2"]);
+        let (a, names) = parse_args_from(&[]).unwrap();
+        assert_eq!(a.seed, ExperimentArgs::default().seed);
+        assert!(names.is_empty());
+    }
+
+    #[test]
+    fn bad_arguments_are_errors_not_panics() {
+        let err = |s: &str| parse_args_from(&argv(s)).unwrap_err();
+        assert_eq!(err("--scale 2000 --seed"), "--seed needs a value");
+        assert_eq!(err("fig5 --sweep 1"), "unknown flag --sweep");
+        assert_eq!(
+            err("--downloads lots"),
+            "--downloads: \"lots\" is not a number"
+        );
+        assert_eq!(err("--scale -5"), "--scale: \"-5\" is not a number");
     }
 
     #[test]

@@ -14,14 +14,26 @@ echo "== cargo test --workspace"
 cargo test -q --workspace
 
 echo "== trace determinism (same seed => byte-identical export)"
-cargo build -q --release -p netsession-bench --bin headline
-bin="$PWD/target/release/headline"
+cargo build -q --release -p netsession-bench --bin paper
+bin="$PWD/target/release/paper"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-(cd "$tmp" && "$bin" --scale 2000 --downloads 3000 >run1.txt 2>/dev/null && mv results/headline.trace.json trace1.json)
-(cd "$tmp" && "$bin" --scale 2000 --downloads 3000 >run2.txt 2>/dev/null && mv results/headline.trace.json trace2.json)
+(cd "$tmp" && "$bin" headline --scale 2000 --downloads 3000 >run1.txt 2>/dev/null && mv results/paper.trace.json trace1.json)
+(cd "$tmp" && "$bin" headline --scale 2000 --downloads 3000 >run2.txt 2>/dev/null && mv results/paper.trace.json trace2.json)
 cmp "$tmp/run1.txt" "$tmp/run2.txt"
 cmp "$tmp/trace1.json" "$tmp/trace2.json"
+
+echo "== results reproduction (one default-scale run => all 20 committed paper artifacts)"
+# The committed results/*.txt are the oracle that licenses refactoring:
+# one simulated month must re-render every table and figure byte for
+# byte, and its trace export must equal the committed one (the table test
+# in crates/bench/tests/paper_table.rs pins table == committed file set).
+# Runs in $tmp so the check never rewrites the files it compares against.
+(cd "$tmp" && "$bin" >/dev/null 2>&1)
+for f in "$tmp"/results/*.txt; do
+    cmp "$f" "results/$(basename "$f")"
+done
+cmp "$tmp/results/paper.trace.json" results/paper.trace.json
 
 echo "== chaos determinism (same seed => byte-identical campaign + trace + alerts)"
 cargo build -q --release -p netsession-bench --bin chaos
