@@ -1,5 +1,5 @@
 //! `perfbench` — the hot-path performance campaign harness behind
-//! `results/bench/BENCH_10.json` (see `docs/PERFORMANCE.md`).
+//! `results/bench/BENCH_13.json` (see `docs/PERFORMANCE.md`).
 //!
 //! Seven micro/meso families plus a headline macro run:
 //!
@@ -34,7 +34,7 @@
 //! Modes:
 //!
 //! ```text
-//! perfbench                          full campaign, writes results/bench/BENCH_10.json
+//! perfbench                          full campaign, writes results/bench/BENCH_13.json
 //! perfbench --smoke [--out PATH]     seconds-scale run (CI), writes PATH or stdout
 //! perfbench --check COMMITTED.json   smoke run + schema lint + coarse regression
 //!                                    gate against the committed snapshot
@@ -74,6 +74,9 @@ use std::hash::{BuildHasher, Hasher};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// The issue whose snapshot a full campaign writes.
+const ISSUE: u64 = 13;
 
 // ---------------------------------------------------------------------------
 // Counting allocator: every heap operation in the process ticks these, so
@@ -608,12 +611,23 @@ fn run_campaign(c: &Campaign) -> String {
         "deterministic profile channel diverged across execution modes"
     );
     let imb = prof_seq.exec().stats();
+    // Realized against attainable parallelism: the event-count ceiling of
+    // the partition, or the core count when that is what binds.
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let scale_speedup = scale_seq_ms / scale_par_ms;
+    let speedup_vs_ceiling = scale_speedup / imb.speedup_ceiling().min(cpus.max(1) as f64);
     // VmHWM is a process-wide high-water mark; earlier families are far
     // smaller than the scaled run, so this is effectively its footprint.
     let scale_rss_kb = peak_rss_kb().unwrap_or(0);
     eprintln!(
         "#   {} peers x {} days: oracle {:.0} ms vs {}-shard parallel {:.0} ms, outputs identical, peak RSS {} KiB",
         scale_cfg.peers, scale_cfg.days, scale_seq_ms, scale_cfg.shards, scale_par_ms, scale_rss_kb
+    );
+    eprintln!(
+        "#   parallel_speedup {scale_speedup:.2} on {} threads, {cpus} cpus: {:.0}% of min(ceiling {:.2}, cpus)",
+        prof_par.timings().threads(),
+        speedup_vs_ceiling * 100.0,
+        imb.speedup_ceiling()
     );
 
     eprintln!("# timeseries family");
@@ -669,7 +683,7 @@ fn run_campaign(c: &Campaign) -> String {
 
     let mut j = Json::new();
     j.str(1, "schema", "netsession-perfbench/1");
-    j.num(1, "issue", 10.0);
+    j.num(1, "issue", ISSUE as f64);
     j.str(1, "mode", if c.smoke { "smoke" } else { "full" });
     j.open(1, "hardware");
     j.str(2, "os", std::env::consts::OS);
@@ -753,7 +767,8 @@ fn run_campaign(c: &Campaign) -> String {
     j.num(3, "downloads", scaled_par.summary.downloads as f64);
     j.num(3, "seq_wall_ms", scale_seq_ms);
     j.num(3, "par_wall_ms", scale_par_ms);
-    j.num(3, "parallel_speedup", scale_seq_ms / scale_par_ms);
+    j.num(3, "parallel_speedup", scale_speedup);
+    j.num(3, "speedup_vs_ceiling", speedup_vs_ceiling);
     j.num(
         3,
         "events_per_sec",
@@ -765,13 +780,8 @@ fn run_campaign(c: &Campaign) -> String {
     // Context for parallel_speedup: how many cores the measurement had,
     // and which regions each shard owned. A speedup of 0.79 on 1 CPU and
     // on 16 CPUs mean very different things.
-    j.num(
-        3,
-        "cpus",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(0) as f64,
-    );
+    j.num(3, "cpus", cpus as f64);
+    j.num(3, "threads", prof_par.timings().threads() as f64);
     let shard_regions: Vec<String> = scaled_par
         .shard_labels
         .iter()
@@ -942,6 +952,23 @@ fn check(committed_path: &str) -> Result<(), String> {
                     "families.scale.shard_regions missing or not a string: {other:?}"
                 ))
             }
+        }
+    }
+    // Issue 13 gave the runner a persistent pool: from then on the threaded
+    // run may not lose to its own oracle (with one core it *is* the oracle,
+    // so only noise separates them).
+    if issue >= 13.0 {
+        let cpus = get_num(&doc, &["families", "scale", "cpus"]).unwrap_or(0.0);
+        let floor = if cpus >= 2.0 { 1.0 } else { 0.95 };
+        match get_num(&doc, &["families", "scale", "parallel_speedup"]) {
+            Some(s) if s >= floor => {}
+            Some(s) => {
+                return Err(format!(
+                    "families.scale.parallel_speedup {s:.2} < {floor} on {cpus} cpus: \
+                     the parallel runner must not lose to the sequential oracle"
+                ))
+            }
+            None => return Err("families.scale.parallel_speedup missing".into()),
         }
     }
     // The `timeseries` family (windowed telemetry sampling cost) joined in
@@ -1130,8 +1157,9 @@ fn main() {
         None if smoke => print!("{json}"),
         None => {
             std::fs::create_dir_all("results/bench").expect("create results/bench");
-            std::fs::write("results/bench/BENCH_10.json", &json).expect("write bench json");
-            eprintln!("# wrote results/bench/BENCH_10.json");
+            let path = format!("results/bench/BENCH_{ISSUE}.json");
+            std::fs::write(&path, &json).expect("write bench json");
+            eprintln!("# wrote {path}");
         }
     }
 }

@@ -269,6 +269,9 @@ fn main() {
     let (out, profiler) = run_scaled_profiled(&cfg, parallel, Some(&registry), Some(profiler));
     let wall = t.elapsed().as_secs_f64();
     let profiler = profiler.expect("profiler rides the whole run");
+    // The pool the runner sized for itself, and the host it sized it to.
+    let threads = profiler.timings().threads();
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let stats = profiler.exec().stats();
     let stream = profiler.stream_fingerprint().expect("digest sink attached");
 
@@ -354,11 +357,8 @@ fn main() {
                 "    \"mode\": \"{}\",",
                 if parallel { "parallel" } else { "sequential" }
             );
-            let _ = writeln!(
-                vol,
-                "    \"cpus\": {},",
-                std::thread::available_parallelism().map_or(0, |n| n.get())
-            );
+            let _ = writeln!(vol, "    \"cpus\": {cpus},");
+            let _ = writeln!(vol, "    \"threads\": {threads},");
             let _ = writeln!(vol, "    \"wall_s\": {wall:.3},");
             let busy: Vec<String> = (0..timings.n_shards())
                 .map(|k| format!("{:.1}", ms(timings.busy_total_ns(k))))
@@ -422,7 +422,7 @@ fn main() {
     let _ = ImbalanceStats::parse_json(&det_json).expect("deterministic profile round-trips");
 
     eprintln!(
-        "# wall {:.1} s, {:.0} events/s, peak RSS {} KiB",
+        "# wall {:.1} s on {threads} threads ({cpus} cpus), {:.0} events/s, peak RSS {} KiB",
         wall,
         out.events as f64 / wall,
         peak_rss_kb().unwrap_or(0)

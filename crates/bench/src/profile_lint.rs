@@ -84,9 +84,26 @@ pub fn lint_profile_text(text: &str) -> Result<(), String> {
             return Err(format!("volatile.{key} missing"));
         }
     }
+    // `threads` (the runner's pool size) joined in issue 13; sidecars
+    // written before it stay lintable. With fewer threads than shards,
+    // `wait_ms` includes time queued behind the thread's other shards.
+    if let Some(t) = vol.get("threads") {
+        let sequential = vol.get("mode").and_then(|m| m.as_str()) == Some("sequential");
+        match t.as_u64() {
+            Some(t) if t == 0 || t as usize > shards => {
+                return Err(format!("volatile.threads is {t}, outside 1..={shards}"))
+            }
+            Some(t) if sequential && t != 1 => {
+                return Err(format!("volatile.threads is {t} in sequential mode"))
+            }
+            Some(_) => {}
+            None => return Err("volatile.threads is not an integer".into()),
+        }
+    }
     // The separation rule, checked from the artifact side: nothing
     // wall-clock may appear inside the deterministic object.
     for leaked in [
+        "threads",
         "busy_ms",
         "wait_ms",
         "merge_ms",

@@ -82,6 +82,26 @@ fn volatile_leak_into_deterministic_fails() {
     assert!(err.contains("leaked"), "got: {err}");
 }
 
+/// `volatile.threads` is optional (sidecars older than issue 13 have
+/// none) but, when written, must be a pool the run could have had.
+#[test]
+fn pool_size_is_checked_when_present() {
+    let with = |threads: &str| {
+        good().replace(
+            "\"cpus\": 1,",
+            &format!("\"cpus\": 1, \"threads\": {threads},"),
+        )
+    };
+    lint_profile_text(&with("2")).expect("2 threads over 2 shards");
+    for bad in ["0", "3", "1.5"] {
+        let err = lint_profile_text(&with(bad)).expect_err("impossible pool size");
+        assert!(err.contains("volatile.threads"), "{bad}: {err}");
+    }
+    let sequential = with("2").replace("\"parallel\"", "\"sequential\"");
+    let err = lint_profile_text(&sequential).expect_err("the oracle runs on one thread");
+    assert!(err.contains("sequential"), "got: {err}");
+}
+
 #[test]
 fn path_variant_reports_missing_file() {
     let err = lint_profile("/nonexistent/scale.profile.json").expect_err("missing file");

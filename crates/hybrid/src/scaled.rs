@@ -1378,6 +1378,34 @@ pub fn run_scaled_profiled(
     registry: Option<&MetricsRegistry>,
     profiler: Option<ShardProfiler>,
 ) -> (ScaledOutput, Option<ShardProfiler>) {
+    let run = if parallel {
+        ShardRunner::run_parallel
+    } else {
+        ShardRunner::run_sequential
+    };
+    run_scaled_with(cfg, run, registry, profiler)
+}
+
+/// [`run_scaled_profiled`] on a pool of `threads` (clamped to
+/// `1..=cfg.shards`) instead of one sized to the host. For tests: results
+/// are bit-identical at every pool size, so no caller has a reason to pick
+/// one.
+#[doc(hidden)]
+pub fn run_scaled_on(
+    cfg: &ScaledConfig,
+    threads: usize,
+    registry: Option<&MetricsRegistry>,
+    profiler: Option<ShardProfiler>,
+) -> (ScaledOutput, Option<ShardProfiler>) {
+    run_scaled_with(cfg, |runner| runner.run_on(threads), registry, profiler)
+}
+
+fn run_scaled_with(
+    cfg: &ScaledConfig,
+    run: impl FnOnce(&mut ShardRunner<ScaledShard>),
+    registry: Option<&MetricsRegistry>,
+    profiler: Option<ShardProfiler>,
+) -> (ScaledOutput, Option<ShardProfiler>) {
     let world = Arc::new(ScaledWorld::new(cfg.clone()));
     let shards: Vec<ScaledShard> = (0..cfg.shards)
         .map(|k| ScaledShard::new(Arc::clone(&world), k))
@@ -1411,11 +1439,7 @@ pub fn run_scaled_profiled(
         runner.attach_profiler(p);
     }
 
-    if parallel {
-        runner.run_parallel();
-    } else {
-        runner.run_sequential();
-    }
+    run(&mut runner);
 
     let profiler = runner.take_profiler();
     if let Some(reg) = registry {

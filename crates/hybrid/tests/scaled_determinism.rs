@@ -8,6 +8,7 @@
 
 use netsession_core::rng::DetRng;
 use netsession_core::time::SimDuration;
+use netsession_hybrid::scaled::run_scaled_on;
 use netsession_hybrid::{
     run_scaled, run_scaled_profiled, FaultEvent, FaultKind, FaultSchedule, ScaledConfig, MAX_SHARDS,
 };
@@ -274,7 +275,9 @@ fn shard_count_edges_stay_byte_identical() {
 
 /// K = 16 — past the nine regions, so every shard is a genuine
 /// sub-region block — must hold byte-identity across seeded fault
-/// scenarios of every kind.
+/// scenarios of every kind, also on a pool of 3 threads: a size the 2-CPU
+/// test container never picks for itself, and one that deals 16 shards out
+/// unevenly (6, 5, 5).
 #[test]
 fn sixteen_sub_shards_byte_identical_across_fault_scenarios() {
     let mut faulty = 0;
@@ -293,8 +296,37 @@ fn sixteen_sub_shards_byte_identical_across_fault_scenarios() {
             cfg.faults.events.len()
         );
         assert_eq!(oracle.report(), threaded.report(), "seed {seed}: report");
+        let (three, _) = run_scaled_on(&cfg, 3, None, None);
+        assert_eq!(oracle, three, "seed {seed}: 3 threads diverged");
     }
     assert!(faulty >= 4, "fault coverage too thin: {faulty}/10");
+
+    // One scenario per fault kind, profiled, so the deterministic profile
+    // channel is compared at 3 threads too.
+    let kinds = [
+        FaultKind::CnCrash { region: 6 },
+        FaultKind::DnWipe { region: 2 },
+        FaultKind::EdgeOutage {
+            region: 6,
+            secs: 3_600,
+        },
+        FaultKind::ChurnBurst { fraction: 0.5 },
+    ];
+    for kind in kinds {
+        let mut cfg = scenario(1);
+        cfg.shards = 16;
+        cfg.faults.events = vec![FaultEvent { at_hours: 20, kind }];
+        let profiled = |threads: usize| {
+            let p = ShardProfiler::new().with_sink(Box::new(ProfileDigest::new()));
+            let (out, p) = run_scaled_on(&cfg, threads, None, Some(p));
+            let p = p.expect("profiler returned");
+            assert_eq!(p.timings().threads(), threads);
+            (out, p.exec().clone(), p.stream_fingerprint())
+        };
+        let oracle = profiled(1);
+        assert_eq!(oracle, profiled(3), "{kind:?}: 3 threads diverged");
+        assert!(!oracle.0.regions.iter().all(|r| r.alerts.is_empty()));
+    }
 }
 
 /// A population smaller than the shard count cannot form non-empty

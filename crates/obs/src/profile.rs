@@ -21,8 +21,10 @@
 //!   stream).
 //!
 //! * **Volatile timing telemetry** — [`ShardTimings`]: per-window,
-//!   per-shard busy wall time, barrier-wait time, and barrier merge time,
-//!   measured with monotonic clocks by the runner. Wall clocks can never
+//!   per-shard busy wall time, barrier-wait time (see
+//!   [`WindowTiming::wait_ns`] for how to read it when shards share pool
+//!   threads), and barrier merge time, measured with monotonic clocks by
+//!   the runner. Wall clocks can never
 //!   be identical across runs, so this channel **never touches
 //!   deterministic output**: it is excluded from the deterministic report
 //!   and JSON section by construction and surfaces only in the volatile
@@ -463,21 +465,28 @@ impl ImbalanceStats {
 }
 
 /// Volatile wall-clock timings for one window: when each shard started,
-/// how long it computed, how long it sat at the barrier, and how long the
-/// coordinator spent delivering and routing mail. All offsets are
-/// nanoseconds from the run's start on the host's monotonic clock.
+/// how long it computed, how long after its finish the window's barrier
+/// closed, and how long the leader spent folding the shards' reports. All
+/// offsets are nanoseconds from the run's start on the host's monotonic
+/// clock.
 #[derive(Clone, Debug, Default)]
 pub struct WindowTiming {
     /// Offset of the window's processing start.
     pub start_ns: u64,
     /// Per-shard busy start offsets (0 for idle shards).
     pub busy_start_ns: Vec<u64>,
-    /// Per-shard busy wall time (0 for idle shards).
+    /// Per-shard busy wall time: delivering the shard's due mail and
+    /// handling its events (0 for idle shards).
     pub busy_ns: Vec<u64>,
-    /// Per-shard barrier wait (parallel mode: last-finisher minus own
-    /// finish; always 0 in sequential mode).
+    /// Per-shard barrier wait: the window's collect barrier minus the
+    /// shard's own finish, for shards that were busy; always 0 on one
+    /// thread. The runner steps K shards on [`ShardTimings::threads`]
+    /// pool threads, each thread its shards in turn, so with fewer threads
+    /// than shards this includes the time the shard's thread went on to
+    /// spend on the sibling shards queued behind it. A thread's idle time
+    /// at the barrier is the wait of the *last* busy shard it stepped.
     pub wait_ns: Vec<u64>,
-    /// Coordinator time spent in mail delivery + routing at this barrier.
+    /// Leader time spent folding reports and routing mail at this barrier.
     pub merge_ns: u64,
 }
 
@@ -486,10 +495,17 @@ pub struct WindowTiming {
 #[derive(Clone, Debug, Default)]
 pub struct ShardTimings {
     n_shards: usize,
+    threads: usize,
     windows: Vec<WindowTiming>,
 }
 
 impl ShardTimings {
+    /// Pool threads of the latest run (0 before the first): how many
+    /// shards could be busy at once, which `wait_ns` is read against.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
     /// Shard count (0 before the first window).
     pub fn n_shards(&self) -> usize {
         self.n_shards
@@ -699,6 +715,11 @@ impl ShardProfiler {
             "profiler reused across runs with different shard counts"
         );
         self.n_shards = n_shards;
+    }
+
+    /// Called by the runner as a run starts, with the size of its pool.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.timings.threads = threads;
     }
 
     /// Deterministic channel: one barrier's worth of per-shard data.

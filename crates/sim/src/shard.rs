@@ -30,14 +30,37 @@
 //! state and its sorted inbox, and the barrier exchange sorts inboxes by
 //! `(deliver_at, source shard, source order)` — a total order independent
 //! of thread scheduling. The property tests in `tests/shard_determinism.rs`
-//! replay randomized programs both ways and assert equality; the hybrid
-//! crate's scaled runner layers record-stream digests on top.
+//! replay randomized programs on several pool sizes and assert equality;
+//! the hybrid crate's scaled runner layers record-stream digests on top.
+//!
+//! ## Execution: one pool per run
+//!
+//! A run steps its shards on `T` threads, `T = 1` for
+//! [`ShardRunner::run_sequential`] and `min(K, available_parallelism())`
+//! for [`ShardRunner::run_parallel`]. The calling thread is thread 0 — the
+//! *leader* — so `T = 1` spawns nothing and touches no lock, barrier or
+//! atomic: it *is* the oracle. Thread `t` steps the fixed **interleaved**
+//! set `{k : k mod T = t}` for the whole run, in index order. (The scaled
+//! runner lays regions out contiguously over shards and regions peak by
+//! timezone; contiguous sets would leave one thread idle per half-day.)
+//!
+//! Each window has two barrier phases. *Release*: the leader hands every
+//! follower its lanes and the window end, then all threads step their own
+//! shards — deliver the shard's due mail in canonical order, then handle its
+//! events. *Collect*: the leader takes the lanes back and, alone, folds the
+//! shards' reports in index order: stats, profiler records, cross mail into
+//! the destination mailboxes, and the next window from each shard's
+//! earliest pending time. Nothing in that fold, and nothing a shard sees,
+//! depends on `T` or on which thread finished first, which is why the pool
+//! size is not a setting.
 
 use crate::engine::EventQueue;
 use netsession_core::time::{SimDuration, SimTime};
 use netsession_obs::profile::{ShardProfiler, WindowTiming};
 use netsession_obs::MetricsRegistry;
-use std::sync::mpsc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// Deterministic contiguous partition of the index space `0..total` into
@@ -101,8 +124,8 @@ impl BlockPartition {
 
 /// One shard's logic: a state machine fed timestamped events.
 ///
-/// `Send` because in parallel mode each worker is moved to its own thread
-/// for the duration of the run.
+/// `Send` because a parallel run steps each worker on one of its pool
+/// threads (always the same one within a run); the runner keeps ownership.
 pub trait ShardWorker: Send {
     /// The event type (local and cross-shard alike).
     type Event: Send;
@@ -193,16 +216,16 @@ pub struct ShardStats {
     pub cross_recv: u64,
 }
 
-/// The sharded runner: owns the shards' queues and workers between windows
-/// and coordinates the barrier exchange.
+/// The sharded runner: owns the shards' workers, queues and mailboxes —
+/// during a run too, whose pool threads only borrow them — and coordinates
+/// the barrier exchange.
 pub struct ShardRunner<W: ShardWorker> {
     workers: Vec<W>,
-    queues: Vec<EventQueue<W::Event>>,
+    queues: Vec<Padded<EventQueue<W::Event>>>,
     window: SimDuration,
     stats: Vec<ShardStats>,
-    /// Mail routed but not yet delivered: per destination shard, sorted at
-    /// delivery by `(at, src, src_order)`.
-    mailboxes: Vec<Vec<Mail<W::Event>>>,
+    /// Mail routed but not yet due, per destination shard.
+    mailboxes: Vec<Mailbox<W::Event>>,
     windows_run: u64,
     /// Counters already pushed into a registry by `publish_stats`, so a
     /// second publish adds only the delta (idempotent at quiescence).
@@ -213,8 +236,8 @@ pub struct ShardRunner<W: ShardWorker> {
     profiler: Option<ShardProfiler>,
 }
 
-/// A worker panic caught at the window barrier: the original payload plus
-/// the shard it came from, so the re-raise is deterministic and keeps the
+/// A worker panic caught on its pool thread: the original payload plus the
+/// shard it came from, so the re-raise is deterministic and keeps the
 /// first panic's message intact.
 struct ShardPanic {
     shard: usize,
@@ -224,21 +247,308 @@ struct ShardPanic {
 struct Mail<E> {
     at: SimTime,
     src: usize,
-    /// Order within the sending shard's window — the tie-breaker that makes
-    /// same-instant cross deliveries deterministic.
-    src_order: u64,
+    /// The sender's lifetime send count at this message. `(at, src, seq)`
+    /// is a strict total order — the tie-breaker that makes same-instant
+    /// cross deliveries deterministic however the mailbox is shuffled.
+    seq: u64,
     event: E,
 }
 
-/// What one shard reports back at a window barrier.
-struct WindowResult<E> {
-    shard: usize,
-    cross: Vec<(usize, SimTime, E)>,
+/// Keeps neighbours in a `Vec` off each other's cache lines. Adjacent
+/// shards' queues belong to different pool threads, and a queue's clock and
+/// counters are written on every event.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+struct Mailbox<E> {
+    held: Vec<Mail<E>>,
+    /// Earliest `at` in `held`: the leader finds the next window, and the
+    /// owner skips a window with nothing due, without scanning the mail.
+    earliest: Option<SimTime>,
+}
+
+impl<E> Mailbox<E> {
+    fn push(&mut self, mail: Mail<E>) {
+        self.earliest = earlier(self.earliest, Some(mail.at));
+        self.held.push(mail);
+    }
+}
+
+/// Nanoseconds since the run's start. `clock` is present only when a
+/// profiler is attached: the wall measurements feed the volatile channel
+/// and nothing else, so the unprofiled hot path pays no clock reads.
+fn elapsed_ns(clock: Option<Instant>) -> u64 {
+    clock.map_or(0, |t0| t0.elapsed().as_nanos() as u64)
+}
+
+fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// One shard as a run sees it: the runner's state for the shard, borrowed
+/// for the run, the buffers its steps reuse, and the report of its last
+/// step. Stepped by one pool thread; read by the leader between windows.
+struct Lane<'r, W: ShardWorker> {
+    worker: &'r mut W,
+    queue: &'r mut EventQueue<W::Event>,
+    mailbox: &'r mut Mailbox<W::Event>,
+    /// `out.cross` carries a window's sends to the leader.
+    out: Outbox<W::Event>,
+    due: Vec<Mail<W::Event>>,
+    /// Events handled and mail delivered by the last step (0 = idle).
     events: u64,
+    recv: u64,
+    /// Earliest event left in the queue, and the queue's depth.
     next: Option<SimTime>,
+    depth: u64,
     /// Volatile: ns offsets from the run's start, 0 when not profiling.
     busy_start_ns: u64,
     busy_ns: u64,
+}
+
+impl<'r, W: ShardWorker> Lane<'r, W> {
+    fn new(
+        shard: usize,
+        n_shards: usize,
+        worker: &'r mut W,
+        queue: &'r mut EventQueue<W::Event>,
+        mailbox: &'r mut Mailbox<W::Event>,
+    ) -> Self {
+        Lane {
+            out: Outbox {
+                shard,
+                n_shards,
+                now: SimTime::ZERO,
+                window_end: SimTime::ZERO,
+                local: Vec::new(),
+                cross: Vec::new(),
+            },
+            due: Vec::new(),
+            events: 0,
+            recv: 0,
+            next: queue.peek_time(),
+            depth: queue.pending() as u64,
+            busy_start_ns: 0,
+            busy_ns: 0,
+            worker,
+            queue,
+            mailbox,
+        }
+    }
+
+    /// Earliest time at which this shard has anything to do.
+    fn pending_time(&self) -> Option<SimTime> {
+        earlier(self.next, self.mailbox.earliest)
+    }
+
+    /// One window of this shard: deliver its due mail, then handle its
+    /// events up to `window_end`. Pure per-shard work — this is the part
+    /// that parallelizes.
+    fn step(&mut self, window_end: SimTime, clock: Option<Instant>) {
+        (self.events, self.recv) = (0, 0);
+        (self.busy_start_ns, self.busy_ns) = (0, 0);
+        let due = |t: Option<SimTime>| t.is_some_and(|t| t < window_end);
+        if !due(self.pending_time()) {
+            return;
+        }
+        self.busy_start_ns = elapsed_ns(clock);
+        if due(self.mailbox.earliest) {
+            self.deliver(window_end);
+        }
+        self.out.window_end = window_end;
+        while self.queue.peek_time().is_some_and(|t| t < window_end) {
+            let (at, ev) = self.queue.pop().expect("peeked");
+            self.out.now = at;
+            self.worker.handle(at, ev, &mut self.out);
+            for (t, e) in self.out.local.drain(..) {
+                self.queue.schedule(t, e);
+            }
+            self.events += 1;
+        }
+        self.next = self.queue.peek_time();
+        self.depth = self.queue.pending() as u64;
+        self.busy_ns = elapsed_ns(clock).saturating_sub(self.busy_start_ns);
+    }
+
+    /// Move the mail due before `window_end` into the queue, in the
+    /// canonical order. Later mail stays held — delivering it now would be
+    /// wrong only in ordering against mail not yet routed, so the
+    /// conservative choice is to hold it.
+    fn deliver(&mut self, window_end: SimTime) {
+        let held = &mut self.mailbox.held;
+        let mut earliest = None;
+        let mut i = 0;
+        while i < held.len() {
+            if held[i].at < window_end {
+                self.due.push(held.swap_remove(i));
+            } else {
+                earliest = earlier(earliest, Some(held[i].at));
+                i += 1;
+            }
+        }
+        self.mailbox.earliest = earliest;
+        self.due.sort_unstable_by_key(|m| (m.at, m.src, m.seq));
+        self.recv = self.due.len() as u64;
+        for m in self.due.drain(..) {
+            self.queue.schedule(m.at, m.event);
+        }
+    }
+}
+
+/// The pool's reusable barrier. A window's two waits are short — the
+/// leader's fold, the imbalance between two threads' lanes — and there are
+/// thousands of windows, so a waiter polls for about the time a futex wake
+/// would take before it goes to sleep.
+struct Barrier {
+    threads: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    asleep: Mutex<()>,
+    wake: Condvar,
+}
+
+impl Barrier {
+    const SPINS: u32 = 1 << 12;
+
+    fn new(threads: usize) -> Self {
+        Barrier {
+            threads,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            asleep: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Block until all `threads` have called `wait` this generation.
+    fn wait(&self) {
+        // Current: this thread left the previous generation only once it
+        // had seen the bump, and the next bump needs its own arrival.
+        let generation = self.generation.load(SeqCst);
+        if self.arrived.fetch_add(1, SeqCst) + 1 == self.threads {
+            // Reset before the bump: whoever sees the new generation and
+            // arrives for the next one must count from zero.
+            self.arrived.store(0, SeqCst);
+            // Bump under the lock, so a waiter that found the generation
+            // unchanged under the same lock is asleep before the notify.
+            let asleep = self.asleep.lock().expect("nothing panics under this lock");
+            self.generation.store(generation.wrapping_add(1), SeqCst);
+            drop(asleep);
+            self.wake.notify_all();
+            return;
+        }
+        for spin in 0..Self::SPINS {
+            if self.generation.load(SeqCst) != generation {
+                return;
+            }
+            // Should the thread being waited for need this CPU (a pool
+            // wider than the idle cores, or a sibling the scheduler has yet
+            // to move off the core that spawned it), let it have it.
+            if spin % 64 == 63 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+        let mut asleep = self.asleep.lock().expect("nothing panics under this lock");
+        while self.generation.load(SeqCst) == generation {
+            asleep = self
+                .wake
+                .wait(asleep)
+                .expect("nothing panics under this lock");
+        }
+    }
+}
+
+/// What the leader hands a follower for one window and takes back after it.
+struct Job<'r, W: ShardWorker> {
+    window_end: SimTime,
+    lanes: Vec<Lane<'r, W>>,
+    panic: Option<ShardPanic>,
+}
+
+const SLOT: &str = "a slot is locked only to move a job, never across worker code";
+
+/// One run's threads: the leader, which calls [`Pool::window`], and one
+/// follower per slot, each inside [`Pool::follow`].
+struct Pool<'r, W: ShardWorker> {
+    barrier: Barrier,
+    /// Where leader and follower leave a [`Job`] for each other; the
+    /// barrier phases keep them from wanting it at the same time.
+    slots: Vec<Mutex<Option<Job<'r, W>>>>,
+    /// See [`elapsed_ns`].
+    clock: Option<Instant>,
+}
+
+impl<'r, W: ShardWorker> Pool<'r, W> {
+    /// Both barrier phases of one window: release `sets[t]` to thread `t`,
+    /// step the leader's own `sets[0]`, collect the lanes back. A lone
+    /// leader touches neither barrier nor lock. Returns the window's
+    /// lowest-indexed worker panic.
+    fn window(&self, sets: &mut [Vec<Lane<'r, W>>], window_end: SimTime) -> Option<ShardPanic> {
+        let (mine, theirs) = sets.split_first_mut().expect("thread 0 is the leader");
+        for (slot, lanes) in self.slots.iter().zip(theirs.iter_mut()) {
+            *slot.lock().expect(SLOT) = Some(Job {
+                window_end,
+                lanes: std::mem::take(lanes),
+                panic: None,
+            });
+        }
+        self.sync();
+        let mut first = step_lanes(mine, window_end, self.clock);
+        self.sync();
+        for (slot, lanes) in self.slots.iter().zip(theirs) {
+            let job = slot.lock().expect(SLOT).take();
+            let job = job.expect("a follower returns its job before the barrier");
+            *lanes = job.lanes;
+            first = [first, job.panic]
+                .into_iter()
+                .flatten()
+                .min_by_key(|p| p.shard);
+        }
+        first
+    }
+
+    fn sync(&self) {
+        if !self.slots.is_empty() {
+            self.barrier.wait();
+        }
+    }
+
+    /// A follower's whole run: step what the leader left in `slot` between
+    /// a window's two barrier phases, until a release finds it empty.
+    fn follow(&self, slot: &Mutex<Option<Job<'r, W>>>) {
+        loop {
+            self.barrier.wait();
+            let Some(mut job) = slot.lock().expect(SLOT).take() else {
+                return;
+            };
+            job.panic = step_lanes(&mut job.lanes, job.window_end, self.clock);
+            *slot.lock().expect(SLOT) = Some(job);
+            self.barrier.wait();
+        }
+    }
+}
+
+/// Step one thread's lanes through a window, in shard order. A panicking
+/// worker ends the thread's window there, as it would the sequential
+/// oracle's, and comes back as a value: its thread must still reach the
+/// barrier.
+fn step_lanes<W: ShardWorker>(
+    lanes: &mut [Lane<'_, W>],
+    window_end: SimTime,
+    clock: Option<Instant>,
+) -> Option<ShardPanic> {
+    for lane in lanes {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| lane.step(window_end, clock))) {
+            let shard = lane.out.shard;
+            return Some(ShardPanic { shard, payload });
+        }
+    }
+    None
 }
 
 impl<W: ShardWorker> ShardRunner<W> {
@@ -250,10 +560,15 @@ impl<W: ShardWorker> ShardRunner<W> {
         assert!(n > 0, "at least one shard");
         ShardRunner {
             workers,
-            queues: (0..n).map(|_| EventQueue::new()).collect(),
+            queues: (0..n).map(|_| Padded(EventQueue::new())).collect(),
             window,
             stats: vec![ShardStats::default(); n],
-            mailboxes: (0..n).map(|_| Vec::new()).collect(),
+            mailboxes: (0..n)
+                .map(|_| Mailbox {
+                    held: Vec::new(),
+                    earliest: None,
+                })
+                .collect(),
             windows_run: 0,
             published: vec![ShardStats::default(); n],
             published_windows: 0,
@@ -281,7 +596,7 @@ impl<W: ShardWorker> ShardRunner<W> {
 
     /// Seed shard `k` with an initial event.
     pub fn seed(&mut self, shard: usize, at: SimTime, event: W::Event) {
-        self.queues[shard].schedule(at, event);
+        self.queues[shard].0.schedule(at, event);
     }
 
     /// Borrow a worker (e.g. to extract results after the run).
@@ -333,297 +648,162 @@ impl<W: ShardWorker> ShardRunner<W> {
         self.published_windows = self.windows_run;
     }
 
-    /// Earliest pending timestamp across queues and undelivered mail.
-    fn next_time(&self) -> Option<SimTime> {
-        let q = self.queues.iter().filter_map(|q| q.peek_time()).min();
-        let m = self
-            .mailboxes
-            .iter()
-            .flat_map(|mb| mb.iter().map(|m| m.at))
-            .min();
-        match (q, m) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Deliver each shard's due mail into its queue, in the canonical
-    /// order. Mail beyond `window_end` stays buffered — delivering it now
-    /// would be wrong only in ordering against mail not yet routed, so the
-    /// conservative choice is to hold it.
-    /// `recv`, when profiling, receives the per-shard count of messages
-    /// delivered at this barrier.
-    fn deliver_mail(&mut self, window_end: SimTime, mut recv: Option<&mut [u64]>) {
-        for (k, mb) in self.mailboxes.iter_mut().enumerate() {
-            if mb.is_empty() {
-                continue;
-            }
-            let mut due: Vec<Mail<W::Event>> = Vec::new();
-            let mut held: Vec<Mail<W::Event>> = Vec::new();
-            for m in mb.drain(..) {
-                if m.at < window_end {
-                    due.push(m);
-                } else {
-                    held.push(m);
-                }
-            }
-            *mb = held;
-            if due.is_empty() {
-                continue;
-            }
-            due.sort_by_key(|m| (m.at, m.src, m.src_order));
-            self.stats[k].cross_recv += due.len() as u64;
-            if let Some(recv) = recv.as_deref_mut() {
-                recv[k] += due.len() as u64;
-            }
-            for m in due {
-                self.queues[k].schedule(m.at, m.event);
-            }
-        }
-    }
-
-    /// Route one shard's outgoing cross mail into the mailboxes. `sent`,
-    /// when profiling, receives the source shard's per-destination counts
-    /// (a row of the window's mail matrix).
-    fn route(
-        &mut self,
-        src: usize,
-        cross: Vec<(usize, SimTime, W::Event)>,
-        mut sent: Option<&mut [u64]>,
-    ) {
-        self.stats[src].cross_sent += cross.len() as u64;
-        for (order, (dst, at, event)) in cross.into_iter().enumerate() {
-            if let Some(sent) = sent.as_deref_mut() {
-                sent[dst] += 1;
-            }
-            self.mailboxes[dst].push(Mail {
-                at,
-                src,
-                src_order: order as u64,
-                event,
-            });
-        }
-    }
-
-    /// Process one shard for the window ending at `window_end`.
-    /// Pure per-shard work — this is the part that parallelizes.
-    fn run_window_on(
-        worker: &mut W,
-        queue: &mut EventQueue<W::Event>,
-        shard: usize,
-        n_shards: usize,
-        window_end: SimTime,
-        clock: Option<Instant>,
-    ) -> WindowResult<W::Event> {
-        // `clock` is the run-start instant, present only when a profiler
-        // is attached: the wall measurements feed the volatile channel and
-        // nothing else, so the unprofiled hot path pays no clock reads.
-        let busy_start_ns = clock.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-        let mut out = Outbox {
-            shard,
-            n_shards,
-            now: SimTime::ZERO,
-            window_end,
-            local: Vec::new(),
-            cross: Vec::new(),
-        };
-        let mut events = 0u64;
-        while queue.peek_time().is_some_and(|t| t < window_end) {
-            let (at, ev) = queue.pop().expect("peeked");
-            out.now = at;
-            worker.handle(at, ev, &mut out);
-            for (t, e) in out.local.drain(..) {
-                queue.schedule(t, e);
-            }
-            events += 1;
-        }
-        let busy_ns = clock.map_or(0, |t0| {
-            (t0.elapsed().as_nanos() as u64).saturating_sub(busy_start_ns)
-        });
-        WindowResult {
-            shard,
-            cross: std::mem::take(&mut out.cross),
-            events,
-            next: queue.peek_time(),
-            busy_start_ns,
-            busy_ns,
-        }
-    }
-
-    /// Run to quiescence, stepping shards **sequentially** in index order —
-    /// the oracle execution the parallel mode is property-tested against.
+    /// Run to quiescence on the calling thread alone, stepping shards in
+    /// index order — the oracle execution every pool size is property-tested
+    /// against.
     pub fn run_sequential(&mut self) {
-        self.run_inner(false)
+        self.run_on(1)
     }
 
-    /// Run to quiescence with one thread per shard inside each window.
+    /// Run to quiescence on a pool of `min(K, available_parallelism())`
+    /// threads, the calling thread among them (see the module docs).
     /// Bit-identical to [`ShardRunner::run_sequential`] when the program
     /// upholds the module-level obligations.
     ///
     /// A panicking worker is re-raised here with its **original payload**
-    /// (the barrier catches it, joins the remaining shards, then resumes
-    /// the unwind) — not swallowed behind channel-teardown noise. When
-    /// several shards panic in one window, the lowest shard index wins,
-    /// matching what the sequential oracle would surface first.
+    /// once every pool thread has reached the window's barrier and been
+    /// released. When several shards panic in one window, the lowest shard
+    /// index wins, matching what the sequential oracle would surface
+    /// first. The window it happened in is abandoned — what other shards
+    /// handled and sent in it is not folded — but the runner keeps its
+    /// workers and queues and can run again.
     pub fn run_parallel(&mut self) {
-        self.run_inner(true)
+        self.run_on(std::thread::available_parallelism().map_or(1, |p| p.get()))
     }
 
-    fn run_inner(&mut self, parallel: bool) {
+    /// [`ShardRunner::run_parallel`] on a pool of `threads`, clamped to
+    /// `1..=K`. For tests: output does not depend on the pool size, so no
+    /// caller has a reason to pick one.
+    #[doc(hidden)]
+    pub fn run_on(&mut self, threads: usize) {
         let n = self.workers.len();
-        let profiling = self.profiler.is_some();
-        // Run-start reference for the volatile channel; absent when not
-        // profiling so the hot path reads no clocks.
-        let clock = profiling.then(Instant::now);
+        let threads = threads.clamp(1, n);
+        let w = self.window.as_micros();
+        let ShardRunner {
+            workers,
+            queues,
+            mailboxes,
+            stats,
+            windows_run,
+            profiler,
+            ..
+        } = self;
+        let mut profiler = profiler.as_mut();
+        if let Some(p) = &mut profiler {
+            p.set_threads(threads);
+        }
+        let clock = profiler.is_some().then(Instant::now);
+        let elapsed = || elapsed_ns(clock);
         // Per-window profiling scratch, reused across windows. The
         // deterministic vectors cover *every* shard each barrier (idle
         // shards record zeros) so the record stream's shape is a pure
         // function of the program, not of which shards happened to run.
-        let scratch = if profiling { n } else { 0 };
+        let scratch = if profiler.is_some() { n } else { 0 };
         let mut events_w = vec![0u64; scratch];
         let mut depth_w = vec![0u64; scratch];
         let mut recv_w = vec![0u64; scratch];
         let mut sent_w = vec![0u64; scratch * scratch];
-        let mut busy_start_w = vec![0u64; scratch];
-        let mut busy_w = vec![0u64; scratch];
-        let mut wait_w = vec![0u64; scratch];
+        let mut timing = WindowTiming {
+            busy_start_ns: vec![0; scratch],
+            busy_ns: vec![0; scratch],
+            wait_ns: vec![0; scratch],
+            ..WindowTiming::default()
+        };
 
-        while let Some(next) = self.next_time() {
-            // Align windows to a fixed global grid so the barrier schedule —
-            // and with it every lookahead check — is independent of which
-            // shard happens to act first.
-            let w = self.window.as_micros();
-            let window_start = SimTime(next.as_micros() / w * w);
-            let window_end = window_start + self.window;
-            if profiling {
-                events_w.fill(0);
-                recv_w.fill(0);
-                sent_w.fill(0);
-                busy_start_w.fill(0);
-                busy_w.fill(0);
-                wait_w.fill(0);
-            }
-            let elapsed = |c: Option<Instant>| c.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-            let t_window = elapsed(clock);
-            self.deliver_mail(window_end, profiling.then_some(recv_w.as_mut_slice()));
-            let mut merge_ns = elapsed(clock).saturating_sub(t_window);
-            self.windows_run += 1;
+        // Shard k is lane k / T of thread k mod T for the whole run.
+        let mut sets: Vec<Vec<Lane<'_, W>>> = (0..threads).map(|_| Vec::new()).collect();
+        let shards = workers.iter_mut().zip(queues).zip(mailboxes);
+        for (k, ((worker, queue), mailbox)) in shards.enumerate() {
+            sets[k % threads].push(Lane::new(k, n, worker, &mut queue.0, mailbox));
+        }
+        let pool = Pool {
+            barrier: Barrier::new(threads),
+            slots: (1..threads).map(|_| Mutex::new(None)).collect(),
+            clock,
+        };
 
-            let results: Vec<WindowResult<W::Event>> = if parallel && n > 1 {
-                let (tx, rx) = mpsc::channel();
-                std::thread::scope(|s| {
-                    for (k, (worker, queue)) in self
-                        .workers
-                        .iter_mut()
-                        .zip(self.queues.iter_mut())
-                        .enumerate()
-                    {
-                        // Idle shards skip the spawn entirely.
-                        if queue.peek_time().is_none_or(|t| t >= window_end) {
-                            continue;
+        let lead = || {
+            while let Some(next) = sets.iter().flatten().filter_map(Lane::pending_time).min() {
+                // Align windows to a fixed global grid so the barrier
+                // schedule — and with it every lookahead check — is
+                // independent of which shard happens to act first.
+                let window_start = SimTime(next.as_micros() / w * w);
+                let window_end = SimTime(window_start.as_micros() + w);
+                let t_window = elapsed();
+                *windows_run += 1;
+                if let Some(first) = pool.window(&mut sets, window_end) {
+                    resume_unwind(first.payload);
+                }
+                let barrier_ns = elapsed();
+                if let Some(p) = &mut profiler {
+                    sent_w.fill(0);
+                    for k in 0..n {
+                        let lane = &sets[k % threads][k / threads];
+                        events_w[k] = lane.events;
+                        depth_w[k] = lane.depth;
+                        recv_w[k] = lane.recv;
+                        for &(dst, ..) in &lane.out.cross {
+                            sent_w[k * n + dst] += 1;
                         }
-                        let tx = tx.clone();
-                        s.spawn(move || {
-                            // Catch a panicking worker so its payload rides
-                            // the barrier channel instead of being replaced
-                            // by scope-join "a scoped thread panicked"
-                            // noise; the barrier re-raises it below.
-                            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                Self::run_window_on(worker, queue, k, n, window_end, clock)
-                            }))
-                            .map_err(|payload| ShardPanic { shard: k, payload });
-                            tx.send(r).expect("barrier receiver alive");
-                        });
+                        timing.busy_start_ns[k] = lane.busy_start_ns;
+                        timing.busy_ns[k] = lane.busy_ns;
+                        // A busy shard waits from its own finish to the
+                        // window's collect; a lone thread's never wait.
+                        timing.wait_ns[k] = if threads > 1 && lane.events > 0 {
+                            barrier_ns.saturating_sub(lane.busy_start_ns + lane.busy_ns)
+                        } else {
+                            0
+                        };
                     }
-                    drop(tx);
-                    let mut rs: Vec<WindowResult<W::Event>> = Vec::new();
-                    let mut panics: Vec<ShardPanic> = Vec::new();
-                    for r in rx.iter() {
-                        match r {
-                            Ok(r) => rs.push(r),
-                            Err(p) => panics.push(p),
-                        }
-                    }
-                    if !panics.is_empty() {
-                        // Every shard has finished (the channel closed), so
-                        // re-raising is safe. With several panicked shards
-                        // the surfaced one is chosen deterministically: the
-                        // lowest shard index — the one the sequential
-                        // oracle would have hit first.
-                        panics.sort_by_key(|p| p.shard);
-                        std::panic::resume_unwind(panics.remove(0).payload);
-                    }
-                    // Arrival order is scheduler-dependent; the canonical
-                    // order is by shard index.
-                    rs.sort_by_key(|r| r.shard);
-                    rs
-                })
-            } else {
-                let mut rs = Vec::new();
+                    let start_us = window_start.as_micros();
+                    p.record_window(start_us, &events_w, &depth_w, &recv_w, &sent_w);
+                }
+
+                // The canonical fold: shards in index order, whichever
+                // thread stepped them and whenever it finished.
+                let fold_ns = elapsed();
                 for k in 0..n {
-                    if self.queues[k].peek_time().is_none_or(|t| t >= window_end) {
+                    let lane = &mut sets[k % threads][k / threads];
+                    if lane.events == 0 {
                         continue;
                     }
-                    let r = Self::run_window_on(
-                        &mut self.workers[k],
-                        &mut self.queues[k],
-                        k,
-                        n,
-                        window_end,
-                        clock,
-                    );
-                    rs.push(r);
-                }
-                rs
-            };
-
-            // Barrier close: in parallel mode a shard's wait is the gap
-            // between its own finish and the last finisher (sequential
-            // shards never wait).
-            let barrier_ns = elapsed(clock);
-            let route0 = barrier_ns;
-            for r in results {
-                let k = r.shard;
-                self.stats[k].events += r.events;
-                self.stats[k].windows += 1;
-                let _ = r.next;
-                if profiling {
-                    events_w[k] = r.events;
-                    busy_start_w[k] = r.busy_start_ns;
-                    busy_w[k] = r.busy_ns;
-                    if parallel && n > 1 {
-                        wait_w[k] = barrier_ns.saturating_sub(r.busy_start_ns + r.busy_ns);
+                    stats[k].events += lane.events;
+                    stats[k].windows += 1;
+                    stats[k].cross_recv += lane.recv;
+                    let mut cross = std::mem::take(&mut lane.out.cross);
+                    for (dst, at, event) in cross.drain(..) {
+                        let (src, seq) = (k, stats[k].cross_sent);
+                        stats[k].cross_sent += 1;
+                        let mail = Mail {
+                            at,
+                            src,
+                            seq,
+                            event,
+                        };
+                        sets[dst % threads][dst / threads].mailbox.push(mail);
                     }
+                    sets[k % threads][k / threads].out.cross = cross;
                 }
-                self.route(
-                    k,
-                    r.cross,
-                    profiling.then(|| &mut sent_w[k * n..(k + 1) * n]),
-                );
-            }
-            merge_ns += elapsed(clock).saturating_sub(route0);
-
-            if profiling {
-                for (k, d) in depth_w.iter_mut().enumerate() {
-                    *d = self.queues[k].pending() as u64;
+                if let Some(p) = &mut profiler {
+                    timing.start_ns = t_window;
+                    timing.merge_ns = elapsed().saturating_sub(fold_ns);
+                    p.record_window_timing(timing.clone());
                 }
-                let p = self.profiler.as_mut().expect("profiling");
-                p.record_window(
-                    window_start.as_micros(),
-                    &events_w,
-                    &depth_w,
-                    &recv_w,
-                    &sent_w,
-                );
-                p.record_window_timing(WindowTiming {
-                    start_ns: t_window,
-                    busy_start_ns: busy_start_w.clone(),
-                    busy_ns: busy_w.clone(),
-                    wait_ns: wait_w.clone(),
-                    merge_ns,
-                });
             }
-        }
+        };
+        std::thread::scope(|s| {
+            for slot in &pool.slots {
+                s.spawn(|| pool.follow(slot));
+            }
+            let run = catch_unwind(AssertUnwindSafe(lead));
+            // The leader leaves its loop, by return or by unwinding, only
+            // between windows: every follower is parked at the release
+            // barrier and its slot is empty, so one more release ends it.
+            pool.sync();
+            if let Err(payload) = run {
+                resume_unwind(payload);
+            }
+        });
     }
 }
 
@@ -692,41 +872,113 @@ mod tests {
     }
 
     /// The first worker panic must surface with its original message —
-    /// not the generic "a scoped thread panicked" / send-failure noise —
-    /// and deterministically (lowest panicking shard wins).
+    /// not the generic "a scoped thread panicked" noise — and
+    /// deterministically (lowest panicking shard wins), whichever pool
+    /// threads the panicking shards are on; the pool must come down with
+    /// it and leave the runner whole.
     #[test]
     fn worker_panic_message_propagates_through_barrier() {
-        struct Exploder;
+        struct Exploder(Vec<u32>);
         impl ShardWorker for Exploder {
             type Event = u32;
             fn handle(&mut self, _at: SimTime, token: u32, out: &mut Outbox<u32>) {
-                if out.shard() >= 1 {
+                if token >= 100 {
                     panic!("shard {} exploded on token {token}", out.shard());
+                }
+                self.0.push(token);
+            }
+        }
+        // 5 shards over 2 threads are {0,2,4} {1,3}, over 3 threads {0,3}
+        // {1,4} {2}: each pair of panicking shards sits on two threads (so
+        // both panic), and only (2 threads, shard 2) and (3 threads, shard
+        // 3) on the leader.
+        for threads in [2, 3] {
+            for bad in [[1, 2], [3, 4]] {
+                let workers = (0..5).map(|_| Exploder(Vec::new())).collect();
+                let mut r = ShardRunner::new(workers, SimDuration::from_secs(10));
+                // Every shard is busy in the first window; two of them panic.
+                for k in 0..5 {
+                    let explodes = if bad.contains(&k) { 100 } else { 0 };
+                    r.seed(k, SimTime(0), explodes + 10 * k as u32);
+                }
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    r.run_on(threads);
+                }))
+                .expect_err("a panicking worker must fail the run");
+                assert_eq!(
+                    err.downcast_ref::<String>().map(String::as_str),
+                    Some(
+                        format!("shard {0} exploded on token {1}", bad[0], 100 + 10 * bad[0])
+                            .as_str()
+                    ),
+                    "{threads} threads: the lowest shard's own payload must survive the barrier"
+                );
+                // No thread is left at a barrier and no lock poisoned: the
+                // same runner runs again, picks up what the failed window
+                // left queued, and still owns its workers.
+                r.seed(0, SimTime(60_000_000), 7);
+                r.run_parallel();
+                let mut handled: Vec<u32> =
+                    r.into_workers().into_iter().flat_map(|w| w.0).collect();
+                handled.sort_unstable();
+                let mut expected: Vec<u32> = (0..5)
+                    .filter(|k| !bad.contains(k))
+                    .map(|k| 10 * k as u32)
+                    .collect();
+                expected.push(7);
+                expected.sort_unstable();
+                assert_eq!(
+                    handled, expected,
+                    "{threads} threads, shards {bad:?} panicking"
+                );
+            }
+        }
+    }
+
+    /// The canonical delivery order, pinned by hand rather than against the
+    /// oracle (which shares the code): mail is held until the window that
+    /// contains its time, then delivered by `(time, source shard, source
+    /// send order)` — also when one source's messages for the same instant
+    /// were sent in different windows.
+    #[test]
+    fn held_mail_is_delivered_in_canonical_order() {
+        const W: u64 = 10_000_000;
+        struct Sender(Vec<(u64, u32)>);
+        impl ShardWorker for Sender {
+            type Event = u32;
+            fn handle(&mut self, at: SimTime, token: u32, out: &mut Outbox<u32>) {
+                self.0.push((at.as_micros(), token));
+                // Shard 0 receives; a 3-digit token `abc` on another shard
+                // sends `bc` to it, `a` windows past the minimum lookahead.
+                if out.shard() != 0 && token >= 100 {
+                    let at = SimTime(out.window_end().as_micros() + (token / 100 - 1) as u64 * W);
+                    out.send(0, at, token % 100);
                 }
             }
         }
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut r = ShardRunner::new(
-                vec![Exploder, Exploder, Exploder],
-                SimDuration::from_secs(10),
-            );
-            // All three shards are busy in the same window; shards 1 and 2
-            // both panic, shard 0 completes normally.
-            r.seed(0, SimTime(0), 10);
-            r.seed(1, SimTime(0), 21);
-            r.seed(2, SimTime(0), 32);
-            r.run_parallel();
-        }))
-        .expect_err("a panicking worker must fail the run");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert_eq!(
-            msg, "shard 1 exploded on token 21",
-            "original (lowest-shard) panic payload must survive the barrier"
-        );
+        for threads in [1, 2, 3] {
+            let workers = (0..3).map(|_| Sender(Vec::new())).collect();
+            let mut r = ShardRunner::new(workers, SimDuration(W));
+            // Window 0: shard 2 sends 21 then 22, shard 1 sends 11, all for
+            // 3 W. Window 1: shard 1 sends 12 for 2 W and 13 for 3 W.
+            r.seed(2, SimTime(1), 321);
+            r.seed(2, SimTime(2), 322);
+            r.seed(1, SimTime(3), 311);
+            r.seed(1, SimTime(W), 112);
+            r.seed(1, SimTime(W + 1), 213);
+            r.run_on(threads);
+            assert_eq!(r.stats()[0].cross_recv, 5);
+            assert_eq!(r.windows_run(), 4);
+            let log = &r.worker(0).0;
+            let expected = [
+                (2 * W, 12),
+                (3 * W, 11),
+                (3 * W, 13),
+                (3 * W, 21),
+                (3 * W, 22),
+            ];
+            assert_eq!(log, &expected, "{threads} threads");
+        }
     }
 
     #[test]
@@ -832,6 +1084,8 @@ mod tests {
         // deterministic comparison above.
         assert_eq!(seq.timings().windows().len(), s.windows as usize);
         assert_eq!(par.timings().windows().len(), s.windows as usize);
+        assert_eq!(seq.timings().threads(), 1);
+        assert!((1..=4).contains(&par.timings().threads()));
     }
 
     #[test]

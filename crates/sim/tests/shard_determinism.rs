@@ -1,13 +1,15 @@
 //! The sharded runner's parallel mode is an optimization, not an
 //! approximation: across randomized programs — bursty local schedules,
 //! cross-shard fan-out at minimum lookahead, same-instant deliveries from
-//! multiple sources, idle shards — the parallel execution must produce
-//! per-shard event logs and stats bit-identical to the sequential oracle,
-//! regardless of thread interleaving.
+//! multiple sources, mail held over several windows, idle shards — the
+//! parallel execution must produce per-shard event logs, stats and profiler
+//! records bit-identical to the sequential oracle, regardless of thread
+//! interleaving and of how many threads the shards are dealt out to.
 
 use netsession_core::rng::DetRng;
 use netsession_core::time::{SimDuration, SimTime};
-use netsession_sim::shard::{Outbox, ShardRunner, ShardWorker};
+use netsession_obs::profile::{ExecProfile, ShardProfiler};
+use netsession_sim::shard::{Outbox, ShardRunner, ShardStats, ShardWorker};
 
 /// A worker whose behaviour is a deterministic function of (shard, event):
 /// content-keyed RNG, no draw-order dependence — the pattern real shard
@@ -37,9 +39,14 @@ impl ShardWorker for ChaosWorker {
             let child = (token ^ rng.below(1 << 40) << 8) & !0xf | (budget - 1);
             if rng.chance(0.4) && out.n_shards() > 1 {
                 // Cross send at (or just past) minimum lookahead, with
-                // deliberate timestamp collisions across sources.
+                // deliberate timestamp collisions across sources; one in
+                // five overshoots by up to four windows and is held.
                 let dst = rng.index(out.n_shards());
-                let slack = if rng.chance(0.5) { 0 } else { rng.below(3) };
+                let slack = match rng.index(10) {
+                    0..=4 => 0,
+                    5..=7 => rng.below(3),
+                    _ => rng.below(4) * 10_000_000 + rng.below(3),
+                };
                 out.send(dst, out.window_end() + SimDuration(slack), child);
             } else {
                 let dt = rng.below(20_000_000);
@@ -49,10 +56,13 @@ impl ShardWorker for ChaosWorker {
     }
 }
 
-/// Per-shard `(time, token)` logs plus `(events, cross_recv)` stats.
-type RunOutput = (Vec<Vec<(u64, u64)>>, Vec<(u64, u64)>);
+/// Per-shard `(time, token)` logs, the runner's stats, and the profiler's
+/// deterministic channel.
+type RunOutput = (Vec<Vec<(u64, u64)>>, Vec<ShardStats>, ExecProfile);
 
-fn run(seed: u64, n_shards: usize, parallel: bool) -> RunOutput {
+/// Run program `seed` on a pool of `threads` (clamped to the shard count;
+/// 1 is the sequential oracle).
+fn run(seed: u64, n_shards: usize, threads: usize) -> RunOutput {
     let workers = (0..n_shards)
         .map(|k| ChaosWorker {
             shard: k,
@@ -70,37 +80,41 @@ fn run(seed: u64, n_shards: usize, parallel: bool) -> RunOutput {
         let token = (rng.below(1 << 40) << 8) | rng.below(7);
         runner.seed(shard, at, token);
     }
-    if parallel {
-        runner.run_parallel();
-    } else {
-        runner.run_sequential();
-    }
-    let stats = runner
-        .stats()
-        .iter()
-        .map(|s| (s.events, s.cross_recv))
-        .collect();
-    (
-        runner.into_workers().into_iter().map(|w| w.log).collect(),
-        stats,
-    )
+    runner.attach_profiler(ShardProfiler::new());
+    runner.run_on(threads);
+    let profiler = runner.take_profiler().expect("attached");
+    assert_eq!(profiler.timings().threads(), threads.min(n_shards));
+    let stats = runner.stats().to_vec();
+    let logs = runner.into_workers().into_iter().map(|w| w.log).collect();
+    (logs, stats, profiler.exec().clone())
 }
 
+/// The container that runs these has 2 CPUs, so `run_parallel` alone would
+/// only ever exercise pools of 1 and 2: 3 deals the shards out unevenly, K
+/// gives every shard its own thread, K + 5 must clamp to that.
 #[test]
-fn parallel_matches_sequential_oracle_across_60_seeds() {
+fn every_pool_size_matches_sequential_oracle_across_60_seeds() {
+    let mut mail = 0;
     for seed in 0..60u64 {
         let n_shards = 2 + (seed % 5) as usize;
-        let sequential = run(seed, n_shards, false);
-        let parallel = run(seed, n_shards, true);
-        assert_eq!(
-            sequential, parallel,
-            "seed {seed} ({n_shards} shards): parallel diverged from oracle"
-        );
+        let oracle = run(seed, n_shards, 1);
+        for threads in [2, 3, n_shards, n_shards + 5] {
+            assert_eq!(
+                oracle,
+                run(seed, n_shards, threads),
+                "seed {seed} ({n_shards} shards): {threads} threads diverged from oracle"
+            );
+        }
         assert!(
-            sequential.0.iter().any(|l| !l.is_empty()),
+            oracle.0.iter().any(|l| !l.is_empty()),
             "seed {seed}: degenerate run"
         );
+        let recv: u64 = oracle.1.iter().map(|s| s.cross_recv).sum();
+        let sent: u64 = oracle.1.iter().map(|s| s.cross_sent).sum();
+        assert_eq!(recv, sent, "seed {seed}: mail lost or left undelivered");
+        mail += sent;
     }
+    assert!(mail > 1_000, "the programs barely exercise the exchange");
 }
 
 /// Shard count must not change *what happens*, only *where*: the union of
@@ -110,8 +124,8 @@ fn parallel_matches_sequential_oracle_across_60_seeds() {
 #[test]
 fn single_shard_run_is_the_sequential_program() {
     for seed in 0..10u64 {
-        let a = run(seed, 1, false);
-        let b = run(seed, 1, true);
+        let a = run(seed, 1, 1);
+        let b = run(seed, 1, 4);
         assert_eq!(a, b, "seed {seed}: 1-shard parallel must be trivial");
     }
 }

@@ -84,8 +84,12 @@ echo "== shard-profile determinism (deterministic telemetry stream byte-diffed)"
 cmp "$tmp/det_seq.json" "$tmp/det_par1.json"
 cmp "$tmp/det_par1.json" "$tmp/det_par2.json"
 "$scale_bin" --lint-profile "$tmp/results/scale.profile.json"
+# The lint takes `volatile.threads` as optional (older sidecars have none);
+# what this tree writes and commits must carry it.
+grep -q '"threads":' "$tmp/results/scale.profile.json"
 if [ -e results/scale.profile.json ]; then
     "$scale_bin" --lint-profile results/scale.profile.json
+    grep -q '"threads":' results/scale.profile.json
 fi
 
 echo "== sub-region shard determinism (16 sub-shards > 9 regions, smoke scale)"
@@ -130,10 +134,10 @@ if [ -z "$found_bench" ]; then
     exit 1
 fi
 
-echo "== perf trajectory (perfbench --trend: every snapshot parses, BENCH_10 present)"
+echo "== perf trajectory (perfbench --trend: every snapshot parses, BENCH_13 present)"
 # Cross-PR table from every committed BENCH_*.json; fails when this PR's
 # snapshot is missing or lacks the families its issue is required to carry.
-"$perfbench_bin" --trend --require 10
+"$perfbench_bin" --trend --require 13
 
 echo "== committed trace exports stay under 1 MiB"
 oversize="$(find results -name '*.trace.json' -size +1M 2>/dev/null || true)"
