@@ -42,6 +42,7 @@
 //! exceed the nine regions (up to `MAX_SHARDS`, and never above the
 //! population).
 
+use netsession_bench::runner::{peak_rss_kb, write_file, write_result};
 use netsession_core::time::SimDuration;
 use netsession_hybrid::alerts::{detected_classes, replay_standard_alerts, SeriesDetection};
 use netsession_hybrid::{run_scaled_profiled, FaultSchedule, ScaledAlert, ScaledConfig};
@@ -50,15 +51,16 @@ use netsession_obs::json::push_str_literal;
 use netsession_obs::profile::{ImbalanceStats, ShardProfiler};
 use netsession_obs::MergedSeries;
 use netsession_obs::MetricsRegistry;
+use std::path::Path;
 use std::time::Instant;
 
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
+/// A failed artifact write is a failed run: name the path and exit 1
+/// rather than leave a stale file behind a zero status.
+fn or_exit(written: std::io::Result<()>) {
+    if let Err(e) = written {
+        eprintln!("scale: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// The `netsession-timeseries/1` sidecar: schema tag, recomputable series
@@ -306,10 +308,8 @@ fn main() {
 
     let det_json = stats.to_json(&out.shard_labels, &out.shard_peers, Some(&stream));
     if let Some(path) = det_out {
-        if let Err(e) = std::fs::write(&path, format!("{{\n  \"deterministic\": {det_json}\n}}\n"))
-        {
-            eprintln!("# profile det-out skipped: {e}");
-        }
+        let det_only = format!("{{\n  \"deterministic\": {det_json}\n}}\n");
+        or_exit(write_file(Path::new(&path), det_only.as_bytes()));
     }
     let ts_sidecar = match (&out.timeseries, &detections) {
         (Some(ts), Some(dets)) => {
@@ -330,93 +330,76 @@ fn main() {
         _ => None,
     };
     if let (Some(path), Some(sidecar)) = (&ts_out, &ts_sidecar) {
-        if let Err(e) = std::fs::write(path, sidecar) {
-            eprintln!("# timeseries-out skipped: {e}");
-        }
+        or_exit(write_file(Path::new(path), sidecar.as_bytes()));
     }
 
     // Sidecars (stderr-announced, stdout untouched).
-    if let Err(e) = netsession_bench::runner::write_result(
+    or_exit(write_result(
         "scale",
         "metrics.json",
         registry.full_snapshot_json().as_bytes(),
-    ) {
-        eprintln!("scale: {e}");
-        std::process::exit(1);
+    ));
+    let timings = profiler.timings();
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let mut vol = String::new();
+    {
+        use std::fmt::Write;
+        let _ = writeln!(vol, "{{");
+        let _ = writeln!(
+            vol,
+            "    \"mode\": \"{}\",",
+            if parallel { "parallel" } else { "sequential" }
+        );
+        let _ = writeln!(vol, "    \"cpus\": {cpus},");
+        let _ = writeln!(vol, "    \"threads\": {threads},");
+        let _ = writeln!(vol, "    \"wall_s\": {wall:.3},");
+        let busy: Vec<String> = (0..timings.n_shards())
+            .map(|k| format!("{:.1}", ms(timings.busy_total_ns(k))))
+            .collect();
+        let waitv: Vec<String> = (0..timings.n_shards())
+            .map(|k| format!("{:.1}", ms(timings.wait_total_ns(k))))
+            .collect();
+        let _ = writeln!(vol, "    \"busy_ms\": [{}],", busy.join(", "));
+        let _ = writeln!(vol, "    \"wait_ms\": [{}],", waitv.join(", "));
+        let _ = writeln!(
+            vol,
+            "    \"merge_ms\": {:.1},",
+            ms(timings.merge_total_ns())
+        );
+        let _ = writeln!(
+            vol,
+            "    \"wall_critical_path_ms\": {:.1},",
+            ms(timings.wall_critical_path_ns())
+        );
+        let _ = writeln!(
+            vol,
+            "    \"wall_speedup_ceiling\": {:.3}",
+            timings.wall_speedup_ceiling()
+        );
+        let _ = write!(vol, "  }}");
     }
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let timings = profiler.timings();
-        let ms = |ns: u64| ns as f64 / 1e6;
-        let mut vol = String::new();
-        {
-            use std::fmt::Write;
-            let _ = writeln!(vol, "{{");
-            let _ = writeln!(
-                vol,
-                "    \"mode\": \"{}\",",
-                if parallel { "parallel" } else { "sequential" }
-            );
-            let _ = writeln!(vol, "    \"cpus\": {cpus},");
-            let _ = writeln!(vol, "    \"threads\": {threads},");
-            let _ = writeln!(vol, "    \"wall_s\": {wall:.3},");
-            let busy: Vec<String> = (0..timings.n_shards())
-                .map(|k| format!("{:.1}", ms(timings.busy_total_ns(k))))
-                .collect();
-            let waitv: Vec<String> = (0..timings.n_shards())
-                .map(|k| format!("{:.1}", ms(timings.wait_total_ns(k))))
-                .collect();
-            let _ = writeln!(vol, "    \"busy_ms\": [{}],", busy.join(", "));
-            let _ = writeln!(vol, "    \"wait_ms\": [{}],", waitv.join(", "));
-            let _ = writeln!(
-                vol,
-                "    \"merge_ms\": {:.1},",
-                ms(timings.merge_total_ns())
-            );
-            let _ = writeln!(
-                vol,
-                "    \"wall_critical_path_ms\": {:.1},",
-                ms(timings.wall_critical_path_ns())
-            );
-            let _ = writeln!(
-                vol,
-                "    \"wall_speedup_ceiling\": {:.3}",
-                timings.wall_speedup_ceiling()
-            );
-            let _ = write!(vol, "  }}");
-        }
-        let profile = format!(
+    let profile = format!(
             "{{\n  \"schema\": \"netsession-shard-profile/1\",\n  \"deterministic\": {det_json},\n  \"volatile\": {vol}\n}}\n"
         );
-        match std::fs::write(dir.join("scale.profile.json"), profile) {
-            Ok(()) => eprintln!("# profile sidecar: results/scale.profile.json"),
-            Err(e) => eprintln!("# profile sidecar skipped: {e}"),
+    or_exit(write_result("scale", "profile.json", profile.as_bytes()));
+    // Per-shard bucket budget shrinks as shards grow so the export
+    // stays under the 1 MiB trace budget at any (K, population).
+    let buckets = (2048 / cfg.shards.max(1)).clamp(64, 512);
+    let mut trace = profiler.timings().export_chrome_json(buckets);
+    if let Some(ts) = &out.timeseries {
+        // Counter tracks ride the same trace on their own pid (the
+        // slice pids are 0..shards for workers plus one for the
+        // barrier) with their own coalescing budget, sized so the
+        // whole file stays within the 1 MiB lint at month scale.
+        let ts_buckets = (1536 / ts.metrics.len().max(1)).clamp(32, 128);
+        let counters = ts.chrome_counter_events(cfg.shards + 1, ts_buckets);
+        if let Some(pos) = trace.rfind("\n]}") {
+            trace.insert_str(pos, &counters);
         }
-        // Per-shard bucket budget shrinks as shards grow so the export
-        // stays under the 1 MiB trace budget at any (K, population).
-        let buckets = (2048 / cfg.shards.max(1)).clamp(64, 512);
-        let mut trace = profiler.timings().export_chrome_json(buckets);
-        if let Some(ts) = &out.timeseries {
-            // Counter tracks ride the same trace on their own pid (the
-            // slice pids are 0..shards for workers plus one for the
-            // barrier) with their own coalescing budget, sized so the
-            // whole file stays within the 1 MiB lint at month scale.
-            let ts_buckets = (1536 / ts.metrics.len().max(1)).clamp(32, 128);
-            let counters = ts.chrome_counter_events(cfg.shards + 1, ts_buckets);
-            if let Some(pos) = trace.rfind("\n]}") {
-                trace.insert_str(pos, &counters);
-            }
-        }
-        match std::fs::write(dir.join("scale.shardtrace.json"), trace) {
-            Ok(()) => eprintln!("# shardtrace sidecar: results/scale.shardtrace.json"),
-            Err(e) => eprintln!("# shardtrace sidecar skipped: {e}"),
-        }
-        if let Some(sidecar) = &ts_sidecar {
-            match std::fs::write(dir.join("scale.timeseries.json"), sidecar) {
-                Ok(()) => eprintln!("# timeseries sidecar: results/scale.timeseries.json"),
-                Err(e) => eprintln!("# timeseries sidecar skipped: {e}"),
-            }
-        }
+    }
+    or_exit(write_result("scale", "shardtrace.json", trace.as_bytes()));
+    if let Some(sidecar) = &ts_sidecar {
+        or_exit(write_result("scale", "timeseries.json", sidecar.as_bytes()));
     }
     // Self-check the artifact we just wrote (cheap, catches drift early).
     let _ = ImbalanceStats::parse_json(&det_json).expect("deterministic profile round-trips");

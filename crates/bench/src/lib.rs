@@ -3,7 +3,7 @@
 //! The experiment harness: the `paper` driver, which renders every
 //! table/figure of the paper from one simulated month (the [`paper`]
 //! table; see DESIGN.md's per-experiment index), ablation binaries, and
-//! Criterion micro-benchmarks in `benches/`.
+//! the `perfbench` / `scale` performance harnesses.
 //!
 //! `paper`, `chaos` and the `ablate_*` binaries accept `--scale <peers>`,
 //! `--downloads <n>` and `--seed <s>` to trade fidelity for runtime, and

@@ -100,17 +100,40 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Write `bytes` to `results/<name>.<ext>` (relative to the working
-/// directory) and announce the path on stderr. Separate files keep
-/// experiment stdout byte-identical run-to-run. The error names the path;
-/// callers propagate it and exit non-zero rather than leave a stale file.
-pub fn write_result(name: &str, ext: &str, bytes: &[u8]) -> std::io::Result<()> {
-    let path = std::path::Path::new("results").join(format!("{name}.{ext}"));
-    std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write(&path, bytes))
-        .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+/// Write `bytes` to `path` (creating its directory) and announce the path
+/// on stderr. The error names the path; callers propagate it and exit
+/// non-zero rather than leave a stale file.
+pub fn write_file(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    let write = || {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        std::fs::write(path, bytes)
+    };
+    write().map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
     eprintln!("# wrote {}", path.display());
     Ok(())
+}
+
+/// [`write_file`] to `results/<name>.<ext>` (relative to the working
+/// directory). Separate files keep experiment stdout byte-identical
+/// run-to-run.
+pub fn write_result(name: &str, ext: &str, bytes: &[u8]) -> std::io::Result<()> {
+    write_file(
+        &std::path::Path::new("results").join(format!("{name}.{ext}")),
+        bytes,
+    )
+}
+
+/// Peak resident set (VmHWM) of this process in KiB, when /proc is
+/// available.
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find(|l| l.starts_with("VmHWM:"))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|v| v.parse().ok())
 }
 
 /// Write a run's telemetry pair: `results/<name>.metrics.json` (the full

@@ -38,6 +38,117 @@ fn family_num(doc: &JsonValue, family: &str, key: &str) -> Option<f64> {
     doc.get("families")?.get(family)?.get(key)?.as_f64()
 }
 
+/// One `families.<name>` block of the snapshot schema.
+pub struct Family {
+    /// Key under `families`.
+    pub name: &'static str,
+    /// Issue whose snapshot first carried it; older snapshots are immutable
+    /// history and stay lintable without it.
+    pub since: u64,
+    /// Numeric fields a snapshot carrying the family must have.
+    pub nums: &'static [&'static str],
+    /// The family's self-check flag: written as 1 only after the run's
+    /// A/B outputs were asserted identical, so anything else is a lie.
+    pub flag: Option<&'static str>,
+}
+
+/// The snapshot schema, family by family: the one table both `perfbench
+/// --check` and `--trend` ([`parse_snapshot`]) lint a snapshot against.
+pub const FAMILIES: [Family; 7] = [
+    Family {
+        name: "event_queue",
+        since: 0,
+        nums: &["macro_speedup"],
+        flag: None,
+    },
+    Family {
+        name: "hashing",
+        since: 0,
+        nums: &["hash_speedup"],
+        flag: None,
+    },
+    Family {
+        name: "alloc_churn",
+        since: 0,
+        nums: &["flownet_recompute_allocs_per_op"],
+        flag: None,
+    },
+    Family {
+        name: "obs",
+        since: 0,
+        nums: &["tracing_overhead_pct"],
+        flag: None,
+    },
+    Family {
+        name: "scale",
+        since: 7,
+        nums: &[
+            "peers",
+            "days",
+            "shards",
+            "seq_wall_ms",
+            "par_wall_ms",
+            "parallel_speedup",
+            "peak_rss_kb",
+        ],
+        flag: Some("outputs_identical"),
+    },
+    Family {
+        name: "shard_profile",
+        since: 8,
+        nums: &[
+            "shards",
+            "windows",
+            "events",
+            "critical_path_events",
+            "speedup_ceiling",
+            "split_busiest_ceiling",
+            "skew",
+        ],
+        flag: Some("det_stream_identical"),
+    },
+    Family {
+        name: "timeseries",
+        since: 10,
+        nums: &[
+            "windows",
+            "metrics",
+            "on_wall_ms",
+            "off_wall_ms",
+            "overhead_pct",
+        ],
+        flag: Some("report_identical"),
+    },
+];
+
+/// Lint a snapshot recorded for `issue` against [`FAMILIES`]: every family
+/// that existed by then is present, and every family present is complete.
+pub fn lint_families(doc: &JsonValue, issue: u64) -> Result<(), String> {
+    for fam in &FAMILIES {
+        let name = fam.name;
+        if doc.get("families").and_then(|f| f.get(name)).is_none() {
+            if issue >= fam.since {
+                return Err(format!(
+                    "families.{name} missing (required from issue {} on)",
+                    fam.since
+                ));
+            }
+            continue;
+        }
+        for key in fam.nums.iter().chain(&fam.flag) {
+            if family_num(doc, name, key).is_none() {
+                return Err(format!("required number families.{name}.{key} missing"));
+            }
+        }
+        if let Some(flag) = fam.flag {
+            if family_num(doc, name, flag) != Some(1.0) {
+                return Err(format!("families.{name}.{flag} must be 1"));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Parse one snapshot's text into its trend row.
 pub fn parse_snapshot(text: &str) -> Result<TrendRow, String> {
     let doc = json::parse(text).map_err(|e| e.to_string())?;
@@ -49,6 +160,9 @@ pub fn parse_snapshot(text: &str) -> Result<TrendRow, String> {
         .get("issue")
         .and_then(|i| i.as_u64())
         .ok_or("missing issue number")?;
+    // A snapshot must not have dropped families older snapshots carry:
+    // that is how staleness shows up after a schema change.
+    lint_families(&doc, issue)?;
     Ok(TrendRow {
         issue,
         macro_speedup: family_num(&doc, "event_queue", "macro_speedup"),
@@ -136,29 +250,15 @@ pub fn render(rows: &[TrendRow]) -> String {
     s
 }
 
-/// Gate mode: collect, render (returned for printing), and require a
-/// snapshot for `require_issue` — with the families that issue must carry.
+/// Gate mode: collect (which lints every snapshot against [`FAMILIES`]),
+/// render (returned for printing), and require a snapshot for
+/// `require_issue`.
 pub fn check(dir: &str, require_issue: u64) -> Result<String, String> {
     let rows = collect(dir)?;
     let table = render(&rows);
-    let Some(cur) = rows.iter().find(|r| r.issue == require_issue) else {
+    if !rows.iter().any(|r| r.issue == require_issue) {
         return Err(format!(
             "no BENCH_{require_issue}.json snapshot: record one with `perfbench` before shipping"
-        ));
-    };
-    // The current snapshot must not have dropped families older snapshots
-    // carry: that is how staleness shows up after a schema change.
-    if require_issue >= 7 && (cur.scale_wall_ms.is_none() || cur.scale_speedup.is_none()) {
-        return Err(format!("BENCH_{require_issue}.json: scale family missing"));
-    }
-    if require_issue >= 8 && cur.skew.is_none() {
-        return Err(format!(
-            "BENCH_{require_issue}.json: shard_profile family missing"
-        ));
-    }
-    if require_issue >= 10 && cur.ts_overhead_pct.is_none() {
-        return Err(format!(
-            "BENCH_{require_issue}.json: timeseries family missing"
         ));
     }
     Ok(table)
@@ -169,16 +269,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_a_minimal_snapshot_and_tolerates_missing_families() {
-        let row = parse_snapshot(
-            "{\"schema\": \"netsession-perfbench/1\", \"issue\": 6, \
-             \"families\": {\"event_queue\": {\"macro_speedup\": 1.25}}}",
-        )
-        .unwrap();
+    fn parses_a_minimal_snapshot_and_tolerates_later_families_missing() {
+        let base_snapshot = |issue: u64| {
+            format!(
+                "{{\"schema\": \"netsession-perfbench/1\", \"issue\": {issue}, \
+                 \"families\": {{\"event_queue\": {{\"macro_speedup\": 1.25}}, \
+                 \"hashing\": {{\"hash_speedup\": 2}}, \
+                 \"alloc_churn\": {{\"flownet_recompute_allocs_per_op\": 0}}, \
+                 \"obs\": {{\"tracing_overhead_pct\": 3}}}}}}"
+            )
+        };
+        let row = parse_snapshot(&base_snapshot(6)).unwrap();
         assert_eq!(row.issue, 6);
         assert_eq!(row.macro_speedup, Some(1.25));
         assert_eq!(row.scale_wall_ms, None);
         assert!(render(&[row]).contains("1.250"));
+        // The same families under a later issue number are a stale snapshot.
+        let err = parse_snapshot(&base_snapshot(7)).unwrap_err();
+        assert!(err.contains("families.scale missing"), "{err}");
     }
 
     #[test]

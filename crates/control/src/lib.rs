@@ -2,6 +2,8 @@
 //!
 //! The NetSession control plane (§3.6–§3.8): globally distributed servers,
 //! operated by the CDN, that *coordinate* peers but never serve content.
+//! (The §3.6 monitoring node is live-tier only: `netsession-net`'s
+//! `monitor_server`.)
 //!
 //! * [`directory`] — the **database nodes (DNs)**: which objects are
 //!   available on which peers, their connectivity details, per-object
@@ -15,21 +17,16 @@
 //!   persistent TCP control connections; they accept logins, route queries
 //!   to their local DN, issue `ConnectTo` instructions to both endpoints,
 //!   and collect usage reports.
-//! * [`monitor`] — the **monitoring nodes**: crash/problem reports and
-//!   download/upload performance counters with automated alerts (§3.6,
-//!   §3.8).
 //! * [`plane`] — the assembled control plane: one CN + DN per network
 //!   region, peer→closest-CN mapping, CN/DN failure injection and
 //!   recovery, and rate-limited mass reconnection.
 
 pub mod cn;
 pub mod directory;
-pub mod monitor;
 pub mod plane;
 pub mod selection;
 
 pub use cn::ConnectionNode;
 pub use directory::{DirectoryNode, PeerRecord};
-pub use monitor::MonitoringNode;
 pub use plane::{ControlPlane, PlaneConfig};
 pub use selection::{SelectionPolicy, Selector};

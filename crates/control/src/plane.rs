@@ -3,13 +3,12 @@
 //! One [`ControlPlane`] holds a CN and a DN per network region ("the
 //! current deployment has less than 20 network regions", §3.7), the shared
 //! selection engine, the edge-auth verifier (tokens minted by the edge tier
-//! are checked here before any peer query is answered, §3.5), a monitoring
-//! node, and the §3.8 robustness machinery: CN/DN failure injection,
+//! are checked here before any peer query is answered, §3.5), and the
+//! §3.8 robustness machinery: CN/DN failure injection,
 //! RE-ADD-based DN recovery, and rate-limited mass reconnection.
 
 use crate::cn::ConnectionNode;
 use crate::directory::{DirectoryNode, PeerRecord};
-use crate::monitor::MonitoringNode;
 use crate::selection::{Querier, SelectionPolicy, Selector};
 use netsession_core::error::{Error, Result};
 use netsession_core::id::SecondaryGuid;
@@ -107,8 +106,6 @@ pub struct ControlPlane {
     dns: Vec<DirectoryNode>,
     selector: Selector,
     auth: EdgeAuth,
-    /// Fleet monitoring (public so drivers can feed speed samples).
-    pub monitor: MonitoringNode,
     limiter: ReconnectLimiter,
     metrics: MetricsRegistry,
     instruments: PlaneInstruments,
@@ -124,7 +121,6 @@ impl ControlPlane {
             dns: (0..cfg.regions).map(DirectoryNode::new).collect(),
             selector: Selector::new(cfg.selection.clone()),
             auth,
-            monitor: MonitoringNode::new(),
             limiter: ReconnectLimiter::new(cfg.reconnect_per_sec),
             instruments: PlaneInstruments::from(&metrics),
             metrics,

@@ -174,12 +174,6 @@ pub struct ScenarioConfig {
     /// clients by shrinking availability to this factor; 1.0 = §3.4's
     /// persistent background behaviour).
     pub session_mode_factor: f64,
-    /// If set, all control-plane DNs are restarted at this day of the
-    /// month (§3.8: "when a new CN/DN software version is released, all
-    /// CNs and DNs are restarted in a short timeframe, and this does not
-    /// negatively affect the service"); online peers repopulate the
-    /// directories via RE-ADD.
-    pub control_restart_day: Option<u64>,
     /// Scheduled infrastructure faults (§3.8 chaos campaign). Empty by
     /// default.
     pub faults: FaultSchedule,
@@ -209,7 +203,6 @@ impl Default for ScenarioConfig {
             enable_fraction_override: None,
             daily_login_prob: 0.4,
             session_mode_factor: 1.0,
-            control_restart_day: None,
             faults: FaultSchedule::default(),
             obs: ObsConfig::default(),
         }

@@ -11,8 +11,8 @@
 //!   a gauge breaches a bound and stays breached for the rule's window
 //!   (`window_us == 0` fires on the first breached observation);
 //! - **rate-of-change** ([`RuleKind::RateAbove`]): a counter increases by
-//!   at least `delta` within the trailing window — the problem-burst
-//!   alert of `control/src/monitor.rs`, generalized to any counter;
+//!   at least `delta` within the trailing window — e.g. a burst of
+//!   §3.6 problem reports at the live monitor server;
 //! - **absence** ([`RuleKind::Absent`]): a counter that should always be
 //!   moving (heartbeats, scrape successes) shows no increase for a full
 //!   window.

@@ -5,7 +5,7 @@
 use netsession::analytics::{efficiency, guidgraph, mobility, outcomes, overview, settings};
 use netsession::core::id::VersionId;
 use netsession::core::units::ByteCount;
-use netsession::hybrid::{HybridSim, ScenarioConfig, SimOutput};
+use netsession::hybrid::{FaultEvent, FaultKind, HybridSim, ScenarioConfig, SimOutput};
 use netsession::logs::records::DownloadOutcome;
 use std::sync::OnceLock;
 
@@ -258,7 +258,17 @@ fn control_plane_restart_does_not_hurt_service() {
     cfg.population.peers = 4_000;
     cfg.workload.downloads = 6_000;
     cfg.objects = 400;
-    cfg.control_restart_day = Some(15);
+    // The rolling restart, as faults: at 03:00 on day 15 every region's CN
+    // drops its connections and its DN loses its soft state; the paced
+    // readmissions re-register each peer's cache (fate-sharing).
+    for region in 0..9 {
+        for kind in [FaultKind::CnCrash { region }, FaultKind::DnWipe { region }] {
+            cfg.faults.events.push(FaultEvent {
+                at_hours: 15 * 24 + 3,
+                kind,
+            });
+        }
+    }
     let restarted = HybridSim::run_config(cfg);
 
     let completion = |o: &SimOutput| {
