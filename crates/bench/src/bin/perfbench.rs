@@ -1,5 +1,5 @@
 //! `perfbench` — the hot-path performance campaign harness behind
-//! `results/bench/BENCH_13.json` (see `docs/PERFORMANCE.md`).
+//! `results/bench/BENCH_15.json` (see `docs/PERFORMANCE.md`).
 //!
 //! Seven micro/meso families plus a headline macro run:
 //!
@@ -7,7 +7,10 @@
 //!   micro drain and as a full same-config sim A/B whose outputs are
 //!   asserted bit-identical before either timing is reported.
 //! * `hashing` — the in-tree FxHasher vs. std's SipHash-1-3, raw hashing
-//!   and a map insert/lookup workload.
+//!   and a map insert/lookup workload; and SHA-256 throughput at piece
+//!   (64 KiB) and token (64 B) size with the kernel that ran (`sha-ni` or
+//!   `scalar`), so a snapshot from a CPU without the extension is not read
+//!   as a regression.
 //! * `alloc_churn` — allocations per operation on paths the campaign
 //!   de-churned (flownet scratch reuse, snapshot-reusing scrapes, the
 //!   geo-db borrowed-record fast path), counted by a global allocator.
@@ -34,7 +37,7 @@
 //! Modes:
 //!
 //! ```text
-//! perfbench                          full campaign, writes results/bench/BENCH_13.json
+//! perfbench                          full campaign, writes results/bench/BENCH_15.json
 //! perfbench --smoke [--out PATH]     seconds-scale run (CI), writes PATH or stdout
 //! perfbench --check COMMITTED.json   schema lint of a committed snapshot (the
 //!                                    family table in `netsession_bench::trend`)
@@ -54,7 +57,7 @@
 use netsession_bench::runner::{config_for, peak_rss_kb, ExperimentArgs};
 use netsession_bench::trend::lint_families;
 use netsession_core::fxhash::{FxBuildHasher, FxHasher};
-use netsession_core::hash::Sha256;
+use netsession_core::hash::{self, sha256, Sha256};
 use netsession_core::rng::DetRng;
 use netsession_core::time::SimTime;
 use netsession_core::units::Bandwidth;
@@ -77,7 +80,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// The issue whose snapshot a full campaign writes.
-const ISSUE: u64 = 13;
+const ISSUE: u64 = 15;
 
 // ---------------------------------------------------------------------------
 // Counting allocator: every heap operation in the process ticks these, so
@@ -269,6 +272,16 @@ fn map_workload_ns<S: BuildHasher>(build: S, inserts: usize, lookups: usize) -> 
     }
     black_box(acc);
     t.elapsed().as_nanos() as f64 / (inserts + lookups) as f64
+}
+
+/// SHA-256 throughput in MB/s over `count` messages of `len` bytes.
+fn sha256_mb_s(len: usize, count: usize) -> f64 {
+    let data = vec![0xabu8; len];
+    let t = Instant::now();
+    for _ in 0..count {
+        black_box(sha256(black_box(&data)));
+    }
+    (len * count) as f64 / 1e6 / t.elapsed().as_secs_f64()
 }
 
 // ---------------------------------------------------------------------------
@@ -539,6 +552,14 @@ fn run_campaign(c: &Campaign) -> String {
         m.min(map_workload_ns(RandomState::new(), map_n, map_n * 4))
     });
 
+    let sha_pieces = scale(4_096).max(512);
+    let sha_64k = (0..3).fold(0.0, |m, _| sha256_mb_s(64 * 1024, sha_pieces).max(m));
+    let sha_64b = (0..3).fold(0.0, |m, _| sha256_mb_s(64, sha_pieces * 256).max(m));
+    eprintln!(
+        "#   sha256 {sha_64k:.0} MB/s at 64 KiB, {sha_64b:.0} MB/s at 64 B ({})",
+        hash::kernel()
+    );
+
     eprintln!("# alloc_churn family");
     let (fn_ns, fn_allocs) = flownet_churn(1_000, if c.smoke { 20 } else { 100 });
     let ((rec_ns, rec_allocs), (ins_ns, ins_allocs)) = geodb_churn(scale(200_000).max(20_000));
@@ -722,6 +743,9 @@ fn run_campaign(c: &Campaign) -> String {
     j.num(3, "fx_map_ns_per_op", fx_map);
     j.num(3, "sip_map_ns_per_op", sip_map);
     j.num(3, "map_speedup", sip_map / fx_map);
+    j.num(3, "sha256_64k_mb_s", sha_64k);
+    j.num(3, "sha256_64b_mb_s", sha_64b);
+    j.str(3, "sha256_kernel", hash::kernel());
     j.close(2);
 
     j.open(2, "alloc_churn");

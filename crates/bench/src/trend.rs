@@ -38,15 +38,18 @@ fn family_num(doc: &JsonValue, family: &str, key: &str) -> Option<f64> {
     doc.get("families")?.get(family)?.get(key)?.as_f64()
 }
 
-/// One `families.<name>` block of the snapshot schema.
+/// Fields of one `families.<name>` block of the snapshot schema. A family
+/// whose fields arrived in different issues has one row per arrival.
 pub struct Family {
     /// Key under `families`.
     pub name: &'static str,
-    /// Issue whose snapshot first carried it; older snapshots are immutable
-    /// history and stay lintable without it.
+    /// Issue whose snapshot first carried these fields; older snapshots are
+    /// immutable history and stay lintable without them.
     pub since: u64,
-    /// Numeric fields a snapshot carrying the family must have.
+    /// Numeric fields a snapshot from `since` on must have.
     pub nums: &'static [&'static str],
+    /// String fields it must have (context a number cannot be read without).
+    pub text: &'static [&'static str],
     /// The family's self-check flag: written as 1 only after the run's
     /// A/B outputs were asserted identical, so anything else is a lie.
     pub flag: Option<&'static str>,
@@ -54,29 +57,43 @@ pub struct Family {
 
 /// The snapshot schema, family by family: the one table both `perfbench
 /// --check` and `--trend` ([`parse_snapshot`]) lint a snapshot against.
-pub const FAMILIES: [Family; 7] = [
+pub const FAMILIES: [Family; 8] = [
     Family {
         name: "event_queue",
         since: 0,
         nums: &["macro_speedup"],
+        text: &[],
         flag: None,
     },
     Family {
         name: "hashing",
         since: 0,
         nums: &["hash_speedup"],
+        text: &[],
+        flag: None,
+    },
+    // SHA-256 throughput at the two sizes the system hashes, and the kernel
+    // that produced it: a `scalar` snapshot is a CPU without the SHA
+    // extensions, not a regression against a `sha-ni` one.
+    Family {
+        name: "hashing",
+        since: 15,
+        nums: &["sha256_64k_mb_s", "sha256_64b_mb_s"],
+        text: &["sha256_kernel"],
         flag: None,
     },
     Family {
         name: "alloc_churn",
         since: 0,
         nums: &["flownet_recompute_allocs_per_op"],
+        text: &[],
         flag: None,
     },
     Family {
         name: "obs",
         since: 0,
         nums: &["tracing_overhead_pct"],
+        text: &[],
         flag: None,
     },
     Family {
@@ -91,6 +108,7 @@ pub const FAMILIES: [Family; 7] = [
             "parallel_speedup",
             "peak_rss_kb",
         ],
+        text: &[],
         flag: Some("outputs_identical"),
     },
     Family {
@@ -105,6 +123,7 @@ pub const FAMILIES: [Family; 7] = [
             "split_busiest_ceiling",
             "skew",
         ],
+        text: &[],
         flag: Some("det_stream_identical"),
     },
     Family {
@@ -117,27 +136,30 @@ pub const FAMILIES: [Family; 7] = [
             "off_wall_ms",
             "overhead_pct",
         ],
+        text: &[],
         flag: Some("report_identical"),
     },
 ];
 
-/// Lint a snapshot recorded for `issue` against [`FAMILIES`]: every family
-/// that existed by then is present, and every family present is complete.
+/// Lint a snapshot recorded for `issue` against [`FAMILIES`]: every row
+/// that existed by then is present and complete.
 pub fn lint_families(doc: &JsonValue, issue: u64) -> Result<(), String> {
-    for fam in &FAMILIES {
+    for fam in FAMILIES.iter().filter(|fam| issue >= fam.since) {
         let name = fam.name;
-        if doc.get("families").and_then(|f| f.get(name)).is_none() {
-            if issue >= fam.since {
-                return Err(format!(
-                    "families.{name} missing (required from issue {} on)",
-                    fam.since
-                ));
-            }
-            continue;
-        }
+        let Some(block) = doc.get("families").and_then(|f| f.get(name)) else {
+            return Err(format!(
+                "families.{name} missing (required from issue {} on)",
+                fam.since
+            ));
+        };
         for key in fam.nums.iter().chain(&fam.flag) {
             if family_num(doc, name, key).is_none() {
                 return Err(format!("required number families.{name}.{key} missing"));
+            }
+        }
+        for key in fam.text {
+            if block.get(key).and_then(|v| v.as_str()).is_none() {
+                return Err(format!("required string families.{name}.{key} missing"));
             }
         }
         if let Some(flag) = fam.flag {
@@ -287,6 +309,21 @@ mod tests {
         // The same families under a later issue number are a stale snapshot.
         let err = parse_snapshot(&base_snapshot(7)).unwrap_err();
         assert!(err.contains("families.scale missing"), "{err}");
+    }
+
+    #[test]
+    fn sha256_throughput_must_name_its_kernel_from_issue_15_on() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/bench/BENCH_15.json"
+        );
+        let text = std::fs::read_to_string(path).expect("committed snapshot");
+        parse_snapshot(&text).expect("BENCH_15 carries the sha256 fields");
+        for field in ["sha256_64k_mb_s", "sha256_kernel"] {
+            let without = text.replace(field, "renamed");
+            let err = parse_snapshot(&without).unwrap_err();
+            assert!(err.contains(&format!("families.hashing.{field}")), "{err}");
+        }
     }
 
     #[test]

@@ -39,6 +39,12 @@ impl Writer {
         }
     }
 
+    /// Writer that appends after what `buf` already holds, so a caller can
+    /// lay down its own header and have the message encoded in place.
+    pub fn appending_to(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     /// LEB128 varint.
     pub fn put_varint(&mut self, mut v: u64) {
         loop {

@@ -9,6 +9,9 @@
 
 use std::fmt;
 
+#[cfg(target_arch = "x86_64")]
+mod shani;
+
 /// A 256-bit digest.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest(pub [u8; 32]);
@@ -102,52 +105,82 @@ impl Sha256 {
     }
 
     /// Feed message bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.total = self.total.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().unwrap());
-            data = rest;
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+    pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, compress);
     }
 
     /// Finish and produce the digest.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+    pub fn finalize(self) -> Digest {
+        self.finalize_with(compress)
+    }
+
+    /// [`Sha256::update`] over a given compression function, which receives
+    /// whole runs of 64-byte blocks (the tests drive both kernels this way).
+    fn update_with(&mut self, mut data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8])) {
+        self.total = self.total.wrapping_add(data.len() as u64);
+        if self.buf_len > 0 {
+            let take = (64 - self.buf_len).min(data.len());
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
+            self.buf_len += take;
+            data = &data[take..];
+            if self.buf_len < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        // Appending the length must not be counted in `total`, but `update`
-        // already ran with the pad bytes only; write the length directly.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        let (blocks, tail) = data.split_at(data.len() & !63);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
+        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
+    }
+
+    fn finalize_with(mut self, compress: impl Fn(&mut [u32; 8], &[u8])) -> Digest {
+        // Padding: 0x80, zeros to 56 mod 64, 64-bit big-endian bit length.
+        let bit_len = self.total.wrapping_mul(8);
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
+        }
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Which compression kernel this process runs: `"sha-ni"` where the CPU has
+/// the x86 SHA extensions, `"scalar"` everywhere else. Digests are the same;
+/// throughput readings are not comparable across the two.
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        return "sha-ni";
+    }
+    "scalar"
+}
+
+/// Compress a whole number of 64-byte blocks into `state` on the fastest
+/// kernel the CPU offers, decided at run time.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::compress(state, blocks) {
+        return;
+    }
+    compress_scalar(state, blocks);
+}
+
+/// The FIPS 180-4 compression loop: the portable path, and the oracle the
+/// accelerated kernel is tested against.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
@@ -160,7 +193,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -181,14 +214,9 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
@@ -212,8 +240,47 @@ pub fn anonymize(key: &str, value: &str) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// FIPS 180-4 / NIST CAVP vectors.
+    type Kernel = fn(&mut [u32; 8], &[u8]);
+
+    /// Both compression kernels by name. On a CPU without the SHA
+    /// extensions the accelerated one is absent and says so on stderr, so a
+    /// run that only exercised the scalar path cannot be read as a pass of
+    /// both.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut kernels: Vec<(&'static str, Kernel)> = vec![("scalar", compress_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if shani::available() {
+            kernels.push(("sha-ni", |state, blocks| {
+                assert!(shani::compress(state, blocks));
+            }));
+        }
+        if kernels.len() == 1 {
+            eprintln!("SKIPPED: sha-ni kernel not available on this CPU; scalar only");
+        }
+        kernels
+    }
+
+    /// Hash `parts` as consecutive `update` calls on one kernel.
+    fn digest_on(kernel: Kernel, parts: &[&[u8]]) -> Digest {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.update_with(part, kernel);
+        }
+        h.finalize_with(kernel)
+    }
+
+    #[test]
+    fn dispatch_matches_the_reported_kernel() {
+        let ran = kernels().last().unwrap().0;
+        assert_eq!(kernel(), ran);
+        let data = [0x5au8; 1000];
+        assert_eq!(sha256(&data), digest_on(compress_scalar, &[&data]));
+    }
+
+    /// FIPS 180-4 / NIST CAVP vectors, on each kernel.
     #[test]
     fn fips_vectors() {
         let cases: &[(&[u8], &str)] = &[
@@ -234,33 +301,76 @@ mod tests {
                 "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
             ),
         ];
-        for (msg, want) in cases {
-            assert_eq!(sha256(msg).to_hex(), *want);
+        for (name, kernel) in kernels() {
+            for (msg, want) in cases {
+                assert_eq!(digest_on(kernel, &[msg]).to_hex(), *want, "{name}");
+            }
         }
     }
 
     #[test]
     fn million_a() {
-        let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for (name, kernel) in kernels() {
+            let mut h = Sha256::new();
+            for _ in 0..1000 {
+                h.update_with(&chunk, kernel);
+            }
+            assert_eq!(
+                h.finalize_with(kernel).to_hex(),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}"
+            );
         }
-        assert_eq!(
-            h.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
-    #[test]
-    fn incremental_matches_oneshot_at_all_split_points() {
-        let data: Vec<u8> = (0..257u16).map(|i| (i % 251) as u8).collect();
-        let whole = sha256(&data);
-        for split in 0..data.len() {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), whole, "split at {split}");
+    proptest! {
+        // Each case already sweeps every length and split exhaustively;
+        // the cases only vary the message bytes.
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// Every length 0..=300 (five blocks, every padding case), split
+        /// into two `update` calls at every point: each kernel must agree
+        /// with the scalar one-shot.
+        #[test]
+        fn kernels_agree_at_every_length_and_split(seed in any::<u64>()) {
+            let mut rng = crate::rng::DetRng::seeded(seed);
+            let mut data = [0u8; 300];
+            rng.fill_bytes(&mut data);
+            let kernels = kernels();
+            for len in 0..=data.len() {
+                let msg = &data[..len];
+                let want = digest_on(compress_scalar, &[msg]);
+                for &(name, kernel) in &kernels {
+                    for split in 0..=len {
+                        let got = digest_on(kernel, &[&msg[..split], &msg[split..]]);
+                        prop_assert_eq!(got, want, "{} len {} split {}", name, len, split);
+                    }
+                }
+            }
+        }
+
+        /// Piece-sized messages (64 KiB and one byte either side), where the
+        /// accelerated kernel sees runs of a thousand blocks per call.
+        #[test]
+        fn kernels_agree_on_piece_sized_messages(
+            seed in any::<u64>(),
+            split in 0usize..65_538,
+        ) {
+            let mut rng = crate::rng::DetRng::seeded(seed);
+            let mut data = vec![0u8; 65_537];
+            rng.fill_bytes(&mut data);
+            let kernels = kernels();
+            for len in [65_535, 65_536, 65_537] {
+                let msg = &data[..len];
+                let want = digest_on(compress_scalar, &[msg]);
+                for split in [0, 1, 63, 64, 65, split.min(len), len - 1, len] {
+                    for &(name, kernel) in &kernels {
+                        let got = digest_on(kernel, &[&msg[..split], &msg[split..]]);
+                        prop_assert_eq!(got, want, "{} len {} split {}", name, len, split);
+                    }
+                }
+            }
         }
     }
 

@@ -149,10 +149,15 @@ impl EdgeServer {
         Ok((manifest.piece_hashes[piece as usize], len))
     }
 
-    /// Serve one piece's raw bytes (live runtime).
-    pub fn piece_bytes(&self, token: &AuthToken, piece: u32, now: SimTime) -> Result<Vec<u8>> {
+    /// Serve one piece's raw bytes with its manifest digest (live runtime).
+    pub fn piece_bytes(
+        &self,
+        token: &AuthToken,
+        piece: u32,
+        now: SimTime,
+    ) -> Result<(Vec<u8>, netsession_core::Digest)> {
         self.check_token(token, now)?;
-        let bytes = self
+        let (bytes, digest) = self
             .store
             .piece_bytes(token.version, piece)
             .ok_or_else(|| Error::NotFound(format!("piece {piece} of {:?}", token.version)))?;
@@ -161,7 +166,7 @@ impl EdgeServer {
             token.version,
             ByteCount::from_bytes(bytes.len() as u64),
         );
-        Ok(bytes)
+        Ok((bytes, digest))
     }
 
     /// Record served bytes directly (used by the fluid simulation, which
@@ -237,15 +242,15 @@ impl EdgeServer {
                     },
                 }
             }
+            // The digest is the one the manifest already publishes: hashing
+            // the piece again per request would prove nothing (the client
+            // verifies the bytes against its manifest, not this field).
             EdgeMsg::GetPiece { token, piece } => match self.piece_bytes(&token, piece, now) {
-                Ok(data) => {
-                    let digest = netsession_core::hash::sha256(&data);
-                    EdgeMsg::PieceData {
-                        piece,
-                        data,
-                        digest,
-                    }
-                }
+                Ok((data, digest)) => EdgeMsg::PieceData {
+                    piece,
+                    data,
+                    digest,
+                },
                 Err(e) => EdgeMsg::Denied {
                     reason: e.to_string(),
                 },
@@ -400,7 +405,10 @@ mod tests {
             other => panic!("expected Authorized, got {other:?}"),
         };
         match server.handle(EdgeMsg::GetPiece { token, piece: 1 }, SimTime(1)) {
-            EdgeMsg::PieceData { data, .. } => assert_eq!(data.len(), 500),
+            EdgeMsg::PieceData { data, digest, .. } => {
+                assert_eq!(data.len(), 500);
+                assert_eq!(digest, netsession_core::hash::sha256(&data));
+            }
             other => panic!("expected PieceData, got {other:?}"),
         }
     }

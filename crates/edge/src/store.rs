@@ -11,8 +11,9 @@ use netsession_core::id::{CpCode, ObjectId, VersionId};
 use netsession_core::piece::{Manifest, DEFAULT_PIECE_SIZE};
 use netsession_core::policy::DownloadPolicy;
 use netsession_core::units::ByteCount;
+use netsession_core::Digest;
 use std::collections::HashMap;
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// One published object: its manifest, policy, owner, and (optionally, for
 /// the live runtime) the actual bytes.
@@ -24,8 +25,9 @@ pub struct StoredObject {
     pub policy: DownloadPolicy,
     /// Owning content provider.
     pub cp: CpCode,
-    /// Raw content, present only in live-runtime deployments.
-    pub content: Option<Vec<u8>>,
+    /// Raw content, present only in live-runtime deployments. Shared, so
+    /// [`ContentStore::get`] hands out the object without copying it.
+    pub content: Option<Arc<[u8]>>,
 }
 
 /// Thread-safe content store shared by the edge servers of one deployment.
@@ -80,7 +82,7 @@ impl ContentStore {
                 manifest,
                 policy,
                 cp,
-                content: Some(content),
+                content: Some(content.into()),
             },
         );
         version
@@ -122,17 +124,19 @@ impl ContentStore {
             .is_some_and(|o| o.manifest.version == version)
     }
 
-    /// Bytes of one piece of the current version (live runtime only).
-    pub fn piece_bytes(&self, version: VersionId, piece: u32) -> Option<Vec<u8>> {
+    /// Bytes of one piece of the current version and the digest the
+    /// manifest publishes for it (live runtime only).
+    pub fn piece_bytes(&self, version: VersionId, piece: u32) -> Option<(Vec<u8>, Digest)> {
         let objects = self.objects.read().unwrap();
         let obj = objects.get(&version.object)?;
         if obj.manifest.version != version {
             return None;
         }
         let content = obj.content.as_ref()?;
+        let digest = *obj.manifest.piece_hashes.get(piece as usize)?;
         let start = piece as usize * obj.manifest.piece_size as usize;
         let len = obj.manifest.piece_len(piece) as usize;
-        content.get(start..start + len).map(|s| s.to_vec())
+        Some((content.get(start..start + len)?.to_vec(), digest))
     }
 
     /// Number of published objects.
@@ -208,8 +212,9 @@ mod tests {
         );
         let manifest = s.manifest(ObjectId(2)).unwrap();
         for piece in 0..manifest.piece_count() {
-            let bytes = s.piece_bytes(v, piece).unwrap();
+            let (bytes, digest) = s.piece_bytes(v, piece).unwrap();
             assert!(manifest.verify_piece(piece, &bytes), "piece {piece}");
+            assert!(manifest.verify_digest(piece, digest), "piece {piece}");
         }
         // Out-of-range piece handled by manifest bounds; stale version None.
         let stale = VersionId {

@@ -6,7 +6,7 @@
 //! `ConnectTo` instructions to *both* endpoints of every suggested pairing
 //! — the coordination real NAT traversal needs.
 
-use crate::framing::{read_msg_traced, wall_now, write_msg};
+use crate::framing::{debug_assert_nodelay, read_msg_traced, wall_now, write_msg, AcceptLoop};
 use crate::http::{standard_routes, AdminEndpoint};
 use netsession_control::directory::PeerRecord;
 use netsession_control::plane::{ControlPlane, PlaneConfig};
@@ -18,11 +18,9 @@ use netsession_core::rng::DetRng;
 use netsession_edge::auth::EdgeAuth;
 use netsession_obs::{MetricsRegistry, TraceCtx, TraceSink};
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Trace-id prefix for the control-server process (see
 /// [`TraceSink::with_id_prefix`]).
@@ -42,9 +40,8 @@ struct Shared {
 
 /// A running control-plane server.
 pub struct ControlServer {
-    local_addr: SocketAddr,
+    accept: AcceptLoop,
     shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
     admin: AdminEndpoint,
 }
 
@@ -60,13 +57,6 @@ impl ControlServer {
     /// Start with an explicit admin (HTTP) listen address serving
     /// `/metrics`, `/healthz`, and `/varz`.
     pub fn start_with_admin(addr: &str, admin_addr: &str, auth: EdgeAuth) -> Result<ControlServer> {
-        let listener = TcpListener::bind(addr).map_err(|e| Error::Network(format!("bind: {e}")))?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| Error::Network(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::Network(e.to_string()))?;
         let metrics = MetricsRegistry::new();
         let shared = Arc::new(Shared {
             plane: Mutex::new(
@@ -89,32 +79,20 @@ impl ControlServer {
             },
             metrics,
         });
-        let stop = Arc::new(AtomicBool::new(false));
         let shared_for_loop = shared.clone();
-        let stop_for_loop = stop.clone();
-        std::thread::spawn(move || {
-            while !stop_for_loop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        shared_for_loop
-                            .metrics
-                            .counter("net.control.connections")
-                            .incr();
-                        if let Ok(handle) = stream.try_clone() {
-                            shared_for_loop.conns.lock().unwrap().push(handle);
-                        }
-                        let shared = shared_for_loop.clone();
-                        std::thread::spawn(move || {
-                            let _ = serve_connection(stream, shared);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
+        let accept = AcceptLoop::bind(addr, move |stream| {
+            shared_for_loop
+                .metrics
+                .counter("net.control.connections")
+                .incr();
+            if let Ok(handle) = stream.try_clone() {
+                shared_for_loop.conns.lock().unwrap().push(handle);
             }
-        });
+            let shared = shared_for_loop.clone();
+            std::thread::spawn(move || {
+                let _ = serve_connection(stream, shared);
+            });
+        })?;
         let admin = {
             let shared = shared.clone();
             AdminEndpoint::start(
@@ -128,16 +106,15 @@ impl ControlServer {
             )?
         };
         Ok(ControlServer {
-            local_addr,
+            accept,
             shared,
-            stop,
             admin,
         })
     }
 
     /// Where the server listens.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.accept.local_addr()
     }
 
     /// Where the admin (HTTP) endpoint listens.
@@ -173,26 +150,27 @@ impl ControlServer {
         self.shared.plane.lock().unwrap().holder_count(0, version)
     }
 
-    /// Stop serving. Live connections are left to drain naturally.
-    pub fn shutdown(self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.admin.stop();
-    }
+    /// Stop serving: both listeners close and their threads are joined.
+    /// Live connections are left to drain naturally.
+    pub fn shutdown(self) {}
 
     /// Crash the server: stop accepting *and* sever every established
     /// connection, the way a CN process death looks from the outside
-    /// (§3.8 fault injection). The listening port is released within a
-    /// few milliseconds, so a replacement can bind the same address.
+    /// (§3.8 fault injection). Both listening ports are released before
+    /// this returns, so a replacement can bind the same addresses.
     pub fn kill(self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.admin.stop();
-        for conn in self.shared.conns.lock().unwrap().drain(..) {
+        let conns = std::mem::take(&mut *self.shared.conns.lock().unwrap());
+        // Listeners first: a severed daemon redials at once and must not
+        // be accepted by the server that is going away.
+        drop(self);
+        for conn in conns {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
     }
 }
 
 fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> Result<()> {
+    debug_assert_nodelay(&stream);
     let mut reader = stream
         .try_clone()
         .map_err(|e| Error::Network(e.to_string()))?;

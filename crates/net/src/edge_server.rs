@@ -5,19 +5,17 @@
 //! and the manifest with piece hashes — and piece downloads, each recorded
 //! as a trusted receipt in the accounting ledger.
 
-use crate::framing::{read_msg_traced, wall_now, write_msg};
+use crate::framing::{debug_assert_nodelay, read_msg_traced, wall_now, write_msg, AcceptLoop};
 use crate::http::{standard_routes, AdminEndpoint};
-use netsession_core::error::{Error, Result};
+use netsession_core::error::Result;
 use netsession_core::msg::EdgeMsg;
 use netsession_edge::accounting::AccountingLedger;
 use netsession_edge::auth::EdgeAuth;
 use netsession_edge::server::EdgeServer;
 use netsession_edge::store::ContentStore;
 use netsession_obs::{MetricsRegistry, SpanId, TraceCtx, TraceSink};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Trace-id prefix for the edge-server process (see
 /// [`TraceSink::with_id_prefix`]).
@@ -25,13 +23,12 @@ const EDGE_ID_PREFIX: u16 = 0x0003;
 
 /// A running live edge server.
 pub struct EdgeHttpServer {
-    local_addr: SocketAddr,
+    accept: AcceptLoop,
     /// The underlying edge logic (shared with tests for assertions).
     pub edge: Arc<EdgeServer>,
     /// Live telemetry: connections accepted, framed messages in/out.
     pub metrics: MetricsRegistry,
     trace: TraceSink,
-    stop: Arc<AtomicBool>,
     admin: AdminEndpoint,
 }
 
@@ -43,41 +40,22 @@ impl EdgeHttpServer {
         auth: EdgeAuth,
         ledger: Arc<AccountingLedger>,
     ) -> Result<EdgeHttpServer> {
-        let listener = TcpListener::bind(addr).map_err(|e| Error::Network(format!("bind: {e}")))?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| Error::Network(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::Network(e.to_string()))?;
         let metrics = MetricsRegistry::new();
         let trace = TraceSink::with_id_prefix(1, EDGE_ID_PREFIX);
         trace.attach_metrics(&metrics);
         let edge = Arc::new(EdgeServer::new(0, store, auth, ledger).with_metrics(&metrics));
-        let stop = Arc::new(AtomicBool::new(false));
         let edge_for_loop = edge.clone();
-        let stop_for_loop = stop.clone();
         let metrics_for_loop = metrics.clone();
         let trace_for_loop = trace.clone();
-        std::thread::spawn(move || {
-            while !stop_for_loop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        metrics_for_loop.counter("net.edge.connections").incr();
-                        let edge = edge_for_loop.clone();
-                        let metrics = metrics_for_loop.clone();
-                        let trace = trace_for_loop.clone();
-                        std::thread::spawn(move || {
-                            let _ = serve_connection(stream, edge, metrics, trace);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
+        let accept = AcceptLoop::bind(addr, move |stream| {
+            metrics_for_loop.counter("net.edge.connections").incr();
+            let edge = edge_for_loop.clone();
+            let metrics = metrics_for_loop.clone();
+            let trace = trace_for_loop.clone();
+            std::thread::spawn(move || {
+                let _ = serve_connection(stream, edge, metrics, trace);
+            });
+        })?;
         let admin = {
             let edge = edge.clone();
             AdminEndpoint::start(
@@ -91,18 +69,17 @@ impl EdgeHttpServer {
             )?
         };
         Ok(EdgeHttpServer {
-            local_addr,
+            accept,
             edge,
             metrics,
             trace,
-            stop,
             admin,
         })
     }
 
     /// Where the server listens.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.accept.local_addr()
     }
 
     /// Where the admin (HTTP) endpoint listens.
@@ -116,11 +93,9 @@ impl EdgeHttpServer {
         self.trace.clone()
     }
 
-    /// Stop serving.
-    pub fn shutdown(self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.admin.stop();
-    }
+    /// Stop serving: both listeners close and their threads are joined, so
+    /// the store is released once the connections in flight end.
+    pub fn shutdown(self) {}
 }
 
 fn serve_connection(
@@ -129,6 +104,7 @@ fn serve_connection(
     metrics: MetricsRegistry,
     trace: TraceSink,
 ) -> Result<()> {
+    debug_assert_nodelay(&stream);
     let msgs_in = metrics.counter("net.edge.msgs_in");
     let msgs_out = metrics.counter("net.edge.msgs_out");
     loop {

@@ -8,11 +8,22 @@
 //! context is how a client's download trace crosses process boundaries:
 //! servers [`netsession_obs::TraceSink::join`] the received ids so their
 //! spans land in the caller's trace.
+//!
+//! The module also owns the two socket-level decisions every framed
+//! connection shares: [`nodelay`] (each frame is one `write_all`, so Nagle
+//! buys nothing and costs a 40 ms delayed-ACK stall on every
+//! write-write-read) and [`AcceptLoop`] (a listener thread that blocks in
+//! `accept` and is woken for shutdown by a self-connect).
 
-use netsession_core::codec::{Wire, MAX_FRAME};
+use netsession_core::codec::{Wire, Writer, MAX_FRAME};
 use netsession_core::error::{Error, Result};
 use netsession_obs::{SpanId, TraceId};
 use std::io::{Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Envelope flag: the frame carries a 16-byte trace context.
 const FLAG_TRACED: u8 = 0x01;
@@ -36,10 +47,10 @@ where
     W: Write,
     T: Wire,
 {
-    let payload = msg.to_payload();
-    let header = 1 + if ctx.is_some() { 16 } else { 0 };
-    let mut framed = Vec::with_capacity(4 + header + payload.len());
-    framed.extend_from_slice(&((header + payload.len()) as u32).to_le_bytes());
+    // Length placeholder, envelope, then the message encoded in place:
+    // the payload is written once, straight into the buffer that is sent.
+    let mut framed = Vec::with_capacity(256);
+    framed.extend_from_slice(&[0u8; 4]);
     match ctx {
         Some((trace, span)) => {
             framed.push(FLAG_TRACED);
@@ -48,7 +59,11 @@ where
         }
         None => framed.push(0),
     }
-    framed.extend_from_slice(&payload);
+    let mut w = Writer::appending_to(framed);
+    msg.encode(&mut w);
+    let mut framed = w.finish();
+    let len = (framed.len() - 4) as u32;
+    framed[..4].copy_from_slice(&len.to_le_bytes());
     writer
         .write_all(&framed)
         .map_err(|e| Error::Network(format!("write: {e}")))?;
@@ -111,6 +126,97 @@ where
     Ok(Some((T::from_payload(payload)?, ctx)))
 }
 
+/// Set `TCP_NODELAY` on a connected or accepted socket. Every framed
+/// `TcpStream` in this crate passes through here before its first frame:
+/// a frame is a single `write_all`, so there are no small segments for
+/// Nagle to coalesce, while leaving it on makes the second of two
+/// back-to-back frames wait for the receiver's delayed ACK.
+pub fn nodelay(stream: TcpStream) -> std::io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// Debug-build check, made by every connection handler on entry, that its
+/// socket came through [`nodelay`].
+pub(crate) fn debug_assert_nodelay(stream: &TcpStream) {
+    debug_assert!(
+        stream.nodelay().unwrap_or(false),
+        "framed sockets are nodelay"
+    );
+}
+
+/// A listener's accept thread. It blocks in `accept` (a new connection is
+/// served the moment it arrives, not at the next poll) and hands every
+/// connection to `serve` with [`nodelay`] applied. Dropping the handle
+/// stops it: the stop flag is raised, a throw-away self-connect wakes the
+/// blocked `accept`, and the thread is joined — so the listener is closed
+/// and whatever `serve` captured is released by the time `drop` returns.
+pub struct AcceptLoop {
+    local_addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl AcceptLoop {
+    /// Bind `addr` and serve connections on a new thread until dropped.
+    pub fn bind<F>(addr: &str, mut serve: F) -> Result<AcceptLoop>
+    where
+        F: FnMut(TcpStream) + Send + 'static,
+    {
+        let listener = TcpListener::bind(addr).map_err(|e| Error::Network(format!("bind: {e}")))?;
+        let local_addr = listener
+            .local_addr()
+            .map_err(|e| Error::Network(e.to_string()))?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop_for_loop = stop.clone();
+        let thread = std::thread::spawn(move || {
+            while let Ok((stream, _)) = listener.accept() {
+                // Pairs with the store in `drop`: a connection accepted
+                // after the flag went up is the wake-up (or too late).
+                if stop_for_loop.load(Ordering::Acquire) {
+                    break;
+                }
+                if let Ok(stream) = nodelay(stream) {
+                    serve(stream);
+                }
+            }
+        });
+        Ok(AcceptLoop {
+            local_addr,
+            stop,
+            thread: Some(thread),
+        })
+    }
+
+    /// Where the listener is bound.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+}
+
+impl Drop for AcceptLoop {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        // A wildcard bind is reached through loopback.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let woken = TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok();
+        if let Some(thread) = self.thread.take() {
+            // A refused wake-up means the loop already ended on an accept
+            // error; only a wake-up that could not be sent at all leaves
+            // the thread blocked, and then it is detached, not waited for.
+            if woken || thread.is_finished() {
+                let _ = thread.join();
+            }
+        }
+    }
+}
+
 /// Process-wide wall clock mapped onto [`netsession_core::time::SimTime`]:
 /// zero at first use. All live components in one process share it, so
 /// token expiries behave as in the simulator.
@@ -126,7 +232,6 @@ pub fn wall_now() -> netsession_core::time::SimTime {
 mod tests {
     use super::*;
     use netsession_core::msg::SwarmMsg;
-    use std::net::{TcpListener, TcpStream};
 
     /// A connected loopback socket pair (stand-in for tokio's duplex).
     fn pair() -> (TcpStream, TcpStream) {
@@ -135,6 +240,28 @@ mod tests {
         let client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
         (client, server)
+    }
+
+    #[test]
+    fn connect_and_accept_sides_are_nodelay_and_drop_closes_the_listener() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let accept = AcceptLoop::bind("127.0.0.1:0", move |stream| {
+            let _ = tx.send(stream);
+        })
+        .unwrap();
+        let addr = accept.local_addr();
+        let client = TcpStream::connect(addr).and_then(nodelay).unwrap();
+        let server = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(client.nodelay().unwrap());
+        assert!(server.nodelay().unwrap());
+        // The option is off unless the helper set it.
+        assert!(!pair().0.nodelay().unwrap());
+
+        drop(accept);
+        assert!(TcpStream::connect(addr).is_err(), "listener still bound");
+        // The wake-up connection was not served, and the closure (with its
+        // sender) went with the thread.
+        assert!(rx.recv().is_err());
     }
 
     #[test]

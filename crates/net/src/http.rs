@@ -5,8 +5,8 @@
 //! listener, serving `/metrics` (Prometheus text exposition), `/healthz`
 //! (JSON liveness), and `/varz` (full JSON snapshot). It rides the same
 //! plain-thread TCP style as the framed protocol servers — no external
-//! dependencies, nonblocking accept with a 5 ms poll, one short-lived
-//! thread per request, `Connection: close` semantics.
+//! dependencies, the same [`AcceptLoop`], one short-lived thread per
+//! request, `Connection: close` semantics.
 //!
 //! The admin listener is a *separate port* from the framed protocol
 //! listener by design: framed connections start with a little-endian
@@ -17,10 +17,10 @@
 //! [`http_get`] is the matching scrape client used by the monitor server
 //! and the e2e tests.
 
+use crate::framing::AcceptLoop;
 use netsession_core::error::{Error, Result};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,57 +55,32 @@ impl HttpResponse {
 }
 
 /// A running HTTP/1.0 admin listener. Routing is a single closure:
-/// `path -> Some(response)` or `None` for 404.
+/// `path -> Some(response)` or `None` for 404. Dropping it stops the
+/// listener (in-flight requests finish).
 pub struct AdminEndpoint {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    accept: AcceptLoop,
 }
 
 impl AdminEndpoint {
     /// Bind `addr` (typically `127.0.0.1:0`) and serve requests through
-    /// `handler` until [`AdminEndpoint::stop`].
+    /// `handler` until dropped.
     pub fn start<H>(addr: &str, handler: H) -> Result<AdminEndpoint>
     where
         H: Fn(&str) -> Option<HttpResponse> + Send + Sync + 'static,
     {
-        let listener =
-            TcpListener::bind(addr).map_err(|e| Error::Network(format!("admin bind: {e}")))?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| Error::Network(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::Network(e.to_string()))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_for_loop = stop.clone();
         let handler = Arc::new(handler);
-        std::thread::spawn(move || {
-            while !stop_for_loop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let handler = handler.clone();
-                        std::thread::spawn(move || {
-                            let _ = serve_request(stream, &*handler);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(AdminEndpoint { local_addr, stop })
+        let accept = AcceptLoop::bind(addr, move |stream| {
+            let handler = handler.clone();
+            std::thread::spawn(move || {
+                let _ = serve_request(stream, &*handler);
+            });
+        })?;
+        Ok(AdminEndpoint { accept })
     }
 
     /// Where the admin listener is bound.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Stop accepting admin requests (in-flight ones finish).
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.accept.local_addr()
     }
 }
 
@@ -238,7 +213,6 @@ mod tests {
         assert_eq!(body, "x 1\n");
         let (status, _) = http_get(ep.local_addr(), "/nope", t).unwrap();
         assert_eq!(status, 404);
-        ep.stop();
     }
 
     #[test]
@@ -249,6 +223,5 @@ mod tests {
         let mut out = String::new();
         s.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.0 405"));
-        ep.stop();
     }
 }

@@ -15,15 +15,15 @@
 //! first success after recovery. The monitor exposes its own admin
 //! endpoint, so the fleet view is itself scrapeable.
 
-use crate::framing::{read_msg, wall_now};
+use crate::framing::{debug_assert_nodelay, read_msg, wall_now, AcceptLoop};
 use crate::http::{http_get, AdminEndpoint, HttpResponse};
-use netsession_core::error::{Error, Result};
+use netsession_core::error::Result;
 use netsession_core::msg::MonitorMsg;
 use netsession_obs::{
     parse_prometheus, render_prometheus, AlertEngine, AlertEvent, AlertRule, MetricsRegistry,
     RegistrySnapshot, RuleKind,
 };
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -121,7 +121,7 @@ impl MonShared {
 
 /// A running monitoring node.
 pub struct MonitorServer {
-    local_addr: SocketAddr,
+    accept: AcceptLoop,
     shared: Arc<MonShared>,
     stop: Arc<AtomicBool>,
     admin: AdminEndpoint,
@@ -138,13 +138,6 @@ impl MonitorServer {
         interval: Duration,
         rules: Vec<AlertRule>,
     ) -> Result<MonitorServer> {
-        let listener = TcpListener::bind(addr).map_err(|e| Error::Network(format!("bind: {e}")))?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| Error::Network(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::Network(e.to_string()))?;
         let shared = Arc::new(MonShared {
             targets,
             metrics: MetricsRegistry::new(),
@@ -154,22 +147,11 @@ impl MonitorServer {
         let stop = Arc::new(AtomicBool::new(false));
 
         // Problem-report listener: short-lived framed connections.
-        let stop_for_accept = stop.clone();
         let shared_for_accept = shared.clone();
-        std::thread::spawn(move || {
-            while !stop_for_accept.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let shared = shared_for_accept.clone();
-                        std::thread::spawn(move || receive_problems(stream, shared));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
+        let accept = AcceptLoop::bind(addr, move |stream| {
+            let shared = shared_for_accept.clone();
+            std::thread::spawn(move || receive_problems(stream, shared));
+        })?;
 
         // Scrape loop.
         let stop_for_scrape = stop.clone();
@@ -208,7 +190,7 @@ impl MonitorServer {
             })?
         };
         Ok(MonitorServer {
-            local_addr,
+            accept,
             shared,
             stop,
             admin,
@@ -217,7 +199,7 @@ impl MonitorServer {
 
     /// Where peers push problem reports (framed protocol).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.accept.local_addr()
     }
 
     /// Where the admin (HTTP) endpoint listens.
@@ -261,12 +243,12 @@ impl MonitorServer {
     /// Stop scraping and accepting reports.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::Relaxed);
-        self.admin.stop();
     }
 }
 
 /// Drain one problem-report connection.
 fn receive_problems(mut stream: TcpStream, shared: Arc<MonShared>) {
+    debug_assert_nodelay(&stream);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     while let Ok(Some(msg)) = read_msg::<_, MonitorMsg>(&mut stream) {
         let MonitorMsg::Problem { guid, kind, detail } = msg;

@@ -13,7 +13,10 @@
 //! coordinator multiplexes all of them over one mpsc channel with
 //! `recv_timeout` providing the overall deadline.
 
-use crate::framing::{read_msg, read_msg_traced, wall_now, write_msg, write_msg_traced};
+use crate::framing::{
+    debug_assert_nodelay, nodelay, read_msg, read_msg_traced, wall_now, write_msg,
+    write_msg_traced, AcceptLoop,
+};
 use crate::http::{standard_routes, AdminEndpoint};
 use netsession_core::error::{Error, Result};
 use netsession_core::hash::{sha256, Digest};
@@ -25,11 +28,11 @@ use netsession_core::piece::{Manifest, PieceMap};
 use netsession_core::policy::TransferConfig;
 use netsession_core::rng::DetRng;
 use netsession_core::units::ByteCount;
-use netsession_obs::{MetricsRegistry, SpanId, TraceId, TraceSink};
+use netsession_obs::{MetricsRegistry, SpanId, TraceCtx, TraceId, TraceSink};
 use netsession_peer::governor::UploadGovernor;
 use netsession_peer::swarm::{SwarmEvent, SwarmSession};
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -92,7 +95,9 @@ impl Inner {
         };
         let guid = self.guid;
         std::thread::spawn(move || {
-            let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_secs(2)) else {
+            let Ok(mut stream) =
+                TcpStream::connect_timeout(&addr, Duration::from_secs(2)).and_then(nodelay)
+            else {
                 return;
             };
             let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
@@ -119,7 +124,8 @@ pub struct PeerDaemon {
     /// This installation's GUID.
     pub guid: Guid,
     edge_addr: SocketAddr,
-    listen_addr: SocketAddr,
+    /// The swarm listener serving uploads.
+    accept: AcceptLoop,
     inner: Arc<Inner>,
     stop: Arc<AtomicBool>,
     admin: AdminEndpoint,
@@ -134,16 +140,8 @@ impl PeerDaemon {
         guid: Guid,
         uploads_enabled: bool,
     ) -> Result<PeerDaemon> {
-        let listener =
-            TcpListener::bind("127.0.0.1:0").map_err(|e| Error::Network(format!("bind: {e}")))?;
-        let listen_addr = listener
-            .local_addr()
-            .map_err(|e| Error::Network(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::Network(e.to_string()))?;
-
         let control = TcpStream::connect(control_addr)
+            .and_then(nodelay)
             .map_err(|e| Error::Network(format!("control connect: {e}")))?;
         let (control_tx, control_rx) = mpsc::channel::<TracedControlMsg>();
 
@@ -188,13 +186,26 @@ impl PeerDaemon {
             )?
         };
 
+        // Upload accept loop.
+        let inner_for_accept = inner.clone();
+        let accept = AcceptLoop::bind("127.0.0.1:0", move |stream| {
+            inner_for_accept
+                .metrics
+                .counter("net.peer.upload_connections_in")
+                .incr();
+            let inner = inner_for_accept.clone();
+            std::thread::spawn(move || {
+                let _ = serve_upload(stream, inner);
+            });
+        })?;
+
         // Control-link supervisor: owns the outbound queue for the
         // daemon's whole life, logs in, pumps messages, and — when the
         // link drops — reconnects with exponential backoff (§3.8).
         let stop = Arc::new(AtomicBool::new(false));
         let inner_for_link = inner.clone();
         let stop_for_link = stop.clone();
-        let listen_port = listen_addr.port();
+        let listen_port = accept.local_addr().port();
         std::thread::spawn(move || {
             run_control_link(
                 inner_for_link,
@@ -205,30 +216,6 @@ impl PeerDaemon {
                 listen_port,
                 stop_for_link,
             );
-        });
-
-        // Upload accept loop.
-        let stop_for_accept = stop.clone();
-        let inner_for_accept = inner.clone();
-        std::thread::spawn(move || {
-            while !stop_for_accept.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        inner_for_accept
-                            .metrics
-                            .counter("net.peer.upload_connections_in")
-                            .incr();
-                        let inner = inner_for_accept.clone();
-                        std::thread::spawn(move || {
-                            let _ = serve_upload(stream, inner);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
         });
 
         // Wait for the supervisor's first login to go out so a download
@@ -242,7 +229,7 @@ impl PeerDaemon {
         Ok(PeerDaemon {
             guid,
             edge_addr,
-            listen_addr,
+            accept,
             inner,
             stop,
             admin,
@@ -251,7 +238,7 @@ impl PeerDaemon {
 
     /// Where this daemon accepts swarm connections.
     pub fn listen_addr(&self) -> SocketAddr {
-        self.listen_addr
+        self.accept.local_addr()
     }
 
     /// Where the admin (HTTP) endpoint listens.
@@ -296,44 +283,61 @@ impl PeerDaemon {
     /// peer query, parallel edge + swarm fetch, verification, assembly,
     /// registration, and usage reporting.
     pub fn download(&self, object: ObjectId) -> Result<DownloadReport> {
-        let metrics = &self.inner.metrics;
         let trace = &self.inner.trace;
         let ctx = trace.start_trace("download", "client", wall_now().as_micros());
         // GUIDs can exceed 2^53: export them as hex strings so an f64
         // JSON parser round-trips them exactly.
         trace.add_attr(ctx.span, "guid", format!("{:016x}", self.guid.0 as u64));
         trace.add_attr(ctx.span, "object", object.0);
+        // The root span closes here whichever way the download returns, so
+        // a failed download never leaves it open in `trace()` / `/trace`.
+        let result = self.download_in(object, ctx);
+        let outcome = match &result {
+            Ok(_) => "completed",
+            Err(Error::PolicyDenied(_)) => "denied",
+            Err(_) => "failed",
+        };
+        trace.add_attr(ctx.span, "outcome", outcome);
+        if let Ok(report) = &result {
+            trace.add_attr(ctx.span, "bytes_edge", report.bytes_from_edge);
+            trace.add_attr(ctx.span, "bytes_peers", report.bytes_from_peers);
+            trace.add_attr(ctx.span, "peer_sources", report.peer_sources as u64);
+        }
+        trace.end_span(ctx.span, wall_now().as_micros());
+        result
+    }
+
+    /// The download proper, under the root span `ctx` that
+    /// [`PeerDaemon::download`] opened and will close.
+    fn download_in(&self, object: ObjectId, ctx: TraceCtx) -> Result<DownloadReport> {
+        let metrics = &self.inner.metrics;
+        let trace = &self.inner.trace;
         // 1. Authorize with the edge. The frame carries (trace, span) so
         // the edge server's own spans join this download's trace.
         let mut edge = TcpStream::connect(self.edge_addr)
+            .and_then(nodelay)
             .map_err(|e| Error::Network(format!("edge connect: {e}")))?;
         let auth_span = trace.span(ctx, "authorize", "edge", wall_now().as_micros());
-        write_msg_traced(
+        let resp = write_msg_traced(
             &mut edge,
             &EdgeMsg::Authorize {
                 guid: self.guid,
                 version: netsession_core::id::VersionId { object, version: 1 },
             },
             Some((ctx.trace, auth_span)),
-        )?;
-        let resp: EdgeMsg =
-            read_msg(&mut edge)?.ok_or_else(|| Error::Network("edge closed".into()))?;
-        let (token, policy, manifest) = match resp {
+        )
+        .and_then(|()| read_msg(&mut edge)?.ok_or_else(|| Error::Network("edge closed".into())));
+        let granted = matches!(resp, Ok(EdgeMsg::Authorized { .. }));
+        trace.add_attr(auth_span, "granted", granted);
+        trace.end_span(auth_span, wall_now().as_micros());
+        let (token, policy, manifest) = match resp? {
             EdgeMsg::Authorized {
                 token,
                 policy,
                 manifest,
-            } => {
-                trace.add_attr(auth_span, "granted", true);
-                trace.end_span(auth_span, wall_now().as_micros());
-                (token, policy, manifest)
-            }
+            } => (token, policy, manifest),
             EdgeMsg::Denied { reason } => {
                 metrics.counter("net.peer.downloads_denied").incr();
-                trace.add_attr(auth_span, "granted", false);
-                trace.end_span(auth_span, wall_now().as_micros());
-                trace.add_attr(ctx.span, "outcome", "denied");
-                trace.end_span(ctx.span, wall_now().as_micros());
                 return Err(Error::PolicyDenied(reason));
             }
             other => return Err(Error::Network(format!("unexpected {other:?}"))),
@@ -350,14 +354,18 @@ impl PeerDaemon {
             let (tx, rx) = mpsc::channel();
             *self.inner.pending_query.lock().unwrap() = Some(tx);
             let qspan = trace.span(ctx, "query_peers", "control", wall_now().as_micros());
-            self.inner.queue_control((
+            let queued = self.inner.queue_control((
                 ControlMsg::QueryPeers {
                     token,
                     max_peers: 8,
                 },
                 Some((ctx.trace, qspan)),
-            ))?;
-            match rx.recv_timeout(Duration::from_secs(3)) {
+            ));
+            let answer = match queued {
+                Ok(()) => rx.recv_timeout(Duration::from_secs(3)),
+                Err(_) => Err(mpsc::RecvTimeoutError::Disconnected),
+            };
+            match answer {
                 Ok(peers) => {
                     trace.add_attr(qspan, "offered", peers.len() as u64);
                     trace.end_span(qspan, wall_now().as_micros());
@@ -417,7 +425,7 @@ impl PeerDaemon {
             let thread_inner = self.inner.clone();
             let trace_ids = Some((ctx.trace, attempt)).filter(|_| ctx.sampled);
             std::thread::spawn(move || {
-                let Ok(stream) = TcpStream::connect(addr) else {
+                let Ok(stream) = TcpStream::connect(addr).and_then(nodelay) else {
                     thread_trace.add_attr(attempt, "result", "connect_failed");
                     thread_inner.report_problem(
                         ProblemKind::TraversalFailure,
@@ -532,14 +540,21 @@ impl PeerDaemon {
 
         // 4. Coordinate.
         let mut session = SwarmSession::new(manifest.clone(), PieceMap::empty(piece_count));
-        let mut pieces: Vec<Option<Vec<u8>>> = vec![None; piece_count as usize];
+        // Verified pieces are copied once, straight to their offset.
+        let mut content = vec![0u8; manifest.size.bytes() as usize];
+        let piece_size = manifest.piece_size as usize;
+        let piece_bytes_hist = metrics.histogram("net.peer.piece_bytes");
+        let mut keep = |piece: u32, data: &[u8]| {
+            piece_bytes_hist.record(data.len() as u64);
+            let at = piece as usize * piece_size;
+            content[at..at + data.len()].copy_from_slice(data);
+        };
         let mut rng = DetRng::seeded(self.guid.0 as u64 ^ object.0);
         let mut bytes_from_edge = 0u64;
         let mut bytes_from_peers = 0u64;
         let mut contributors: std::collections::HashSet<Guid> = Default::default();
         let mut edge_busy = false;
         let mut edge_alive = true;
-        let piece_bytes_hist = metrics.histogram("net.peer.piece_bytes");
 
         let deadline = Instant::now() + Duration::from_secs(60);
         // When the control plane returned peers, give their handshakes a
@@ -576,8 +591,6 @@ impl PeerDaemon {
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     if Instant::now() >= deadline {
                         metrics.counter("net.peer.downloads_failed").incr();
-                        trace.add_attr(ctx.span, "outcome", "failed");
-                        trace.end_span(ctx.span, wall_now().as_micros());
                         self.inner.report_problem(
                             ProblemKind::DownloadFailure,
                             format!("object {} timed out", object.0),
@@ -588,8 +601,6 @@ impl PeerDaemon {
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     metrics.counter("net.peer.downloads_failed").incr();
-                    trace.add_attr(ctx.span, "outcome", "failed");
-                    trace.end_span(ctx.span, wall_now().as_micros());
                     self.inner.report_problem(
                         ProblemKind::DownloadFailure,
                         format!("object {} stalled", object.0),
@@ -604,30 +615,31 @@ impl PeerDaemon {
                     session.on_peer_left(guid);
                     Vec::new()
                 }
-                Ev::Msg(guid, msg) => {
-                    // Keep piece bytes aside before the session verifies.
-                    let staged = match &msg {
-                        SwarmMsg::Piece { piece, data, .. } => Some((*piece, data.clone())),
-                        _ => None,
-                    };
-                    let events = session.on_message(guid, msg, &mut rng);
-                    if let Some((piece, data)) = staged {
-                        if events.contains(&SwarmEvent::PieceVerified(piece)) {
-                            bytes_from_peers += data.len() as u64;
-                            piece_bytes_hist.record(data.len() as u64);
-                            contributors.insert(guid);
-                            pieces[piece as usize] = Some(data);
-                        }
+                // The coordinator keeps the piece and lends it to the
+                // session to verify, so verified bytes are never cloned.
+                Ev::Msg(
+                    guid,
+                    SwarmMsg::Piece {
+                        piece,
+                        data,
+                        digest,
+                    },
+                ) => {
+                    let events = session.on_peer_piece(guid, piece, &data, digest, &mut rng);
+                    if events.contains(&SwarmEvent::PieceVerified(piece)) {
+                        bytes_from_peers += data.len() as u64;
+                        contributors.insert(guid);
+                        keep(piece, &data);
                     }
                     events
                 }
+                Ev::Msg(guid, msg) => session.on_message(guid, msg, &mut rng),
                 Ev::EdgePiece(piece, data, digest) => {
                     edge_busy = false;
                     let events = session.on_edge_piece(piece, &data, digest);
                     if events.contains(&SwarmEvent::PieceVerified(piece)) {
                         bytes_from_edge += data.len() as u64;
-                        piece_bytes_hist.record(data.len() as u64);
-                        pieces[piece as usize] = Some(data);
+                        keep(piece, &data);
                     }
                     events
                 }
@@ -654,10 +666,6 @@ impl PeerDaemon {
             let _ = guid;
         }
         drop(edge_req_tx);
-        let mut content = Vec::with_capacity(manifest.size.bytes() as usize);
-        for p in pieces.into_iter() {
-            content.extend_from_slice(&p.expect("complete download has all pieces"));
-        }
         let content_hash = sha256(&content);
         let uploads_enabled = {
             let store = &self.inner.store;
@@ -704,11 +712,6 @@ impl PeerDaemon {
         metrics
             .counter("net.peer.bytes_from_peers")
             .add(bytes_from_peers);
-        trace.add_attr(ctx.span, "outcome", "completed");
-        trace.add_attr(ctx.span, "bytes_edge", bytes_from_edge);
-        trace.add_attr(ctx.span, "bytes_peers", bytes_from_peers);
-        trace.add_attr(ctx.span, "peer_sources", contributors.len() as u64);
-        trace.end_span(ctx.span, wall_now().as_micros());
 
         Ok(DownloadReport {
             bytes_from_edge,
@@ -718,11 +721,11 @@ impl PeerDaemon {
         })
     }
 
-    /// Shut the daemon down.
+    /// Shut the daemon down: log out, stop the control link, and close
+    /// both listeners (their threads are joined as `self` drops).
     pub fn shutdown(self) {
         let _ = self.inner.queue_control((ControlMsg::Logout, None));
         self.stop.store(true, Ordering::Relaxed);
-        self.admin.stop();
     }
 }
 
@@ -763,7 +766,7 @@ fn run_control_link(
         }
         let s = match stream.take() {
             Some(s) => s,
-            None => match TcpStream::connect(control_addr) {
+            None => match TcpStream::connect(control_addr).and_then(nodelay) {
                 Ok(s) => s,
                 Err(_) => {
                     inner
@@ -924,6 +927,7 @@ fn spawn_control_reader(mut read_half: TcpStream, inner: Arc<Inner>, link_down: 
 /// downloader stamped its trace context on the handshake frame, this
 /// uploader's `serve_upload` span joins the *downloader's* trace.
 fn serve_upload(stream: TcpStream, inner: Arc<Inner>) -> Result<()> {
+    debug_assert_nodelay(&stream);
     let mut r = stream
         .try_clone()
         .map_err(|e| Error::Network(e.to_string()))?;

@@ -338,10 +338,59 @@ fn unresponsive_control_times_out_and_degrades_to_edge() {
         .find(|s| s.name == "query_peers")
         .expect("query span recorded");
     assert!(q.end_us.is_some(), "timeout path must end the span");
+    assert_no_open_spans(&p);
 
     p.shutdown();
     d.control.shutdown();
     d.edge.shutdown();
+}
+
+fn assert_no_open_spans(p: &PeerDaemon) {
+    let open: Vec<_> = p
+        .trace()
+        .spans()
+        .into_iter()
+        .filter(|s| s.end_us.is_none())
+        .collect();
+    assert!(open.is_empty(), "spans left open: {open:?}");
+}
+
+/// A download that cannot reach the edge — the listener is gone, or it
+/// hangs up before answering — returns an error and still closes its root
+/// `download` span (and the `authorize` span under it) with
+/// `outcome=failed`.
+#[test]
+fn edge_down_fails_the_download_and_closes_its_spans() {
+    let d = deploy(true);
+    let control_addr = d.control.local_addr();
+
+    // An "edge" that accepts and hangs up: the Authorize read fails.
+    let hangup = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let hangup_addr = hangup.local_addr().unwrap();
+    std::thread::spawn(move || while hangup.accept().is_ok() {});
+    // A real edge that has been shut down: the connect fails.
+    let down_addr = d.edge.local_addr();
+    d.edge.shutdown();
+
+    for (guid, edge_addr) in [(71, hangup_addr), (72, down_addr)] {
+        let p = PeerDaemon::start(control_addr, edge_addr, Guid(guid), true).unwrap();
+        let err = p.download(ObjectId(1)).unwrap_err();
+        assert!(
+            matches!(err, netsession_core::error::Error::Network(_)),
+            "{err:?}"
+        );
+        let spans = p.trace().spans();
+        let root = spans.iter().find(|s| s.name == "download").unwrap();
+        assert!(root.end_us.is_some(), "root span left open at {edge_addr}");
+        let outcome = root.attrs.iter().find(|(k, _)| *k == "outcome");
+        assert_eq!(
+            outcome.map(|(_, v)| v),
+            Some(&netsession_obs::AttrValue::Str("failed".into()))
+        );
+        assert_no_open_spans(&p);
+        p.shutdown();
+    }
+    d.control.shutdown();
 }
 
 #[test]

@@ -148,44 +148,7 @@ impl SwarmSession {
                 piece,
                 data,
                 digest,
-            } => {
-                let ok = if data.is_empty() {
-                    // Simulation flavour: verify by digest.
-                    self.manifest.verify_digest(piece, digest)
-                } else {
-                    self.manifest.verify_piece(piece, &data)
-                };
-                self.picker.request_finished(piece);
-                if let Some(remote) = self.remotes.get_mut(&from) {
-                    remote.in_flight = None;
-                    if ok {
-                        remote.pieces_received += 1;
-                    } else {
-                        remote.corrupt_received += 1;
-                    }
-                }
-                if ok {
-                    if self.mine.set(piece) {
-                        self.metrics.counter("peer.swarm_pieces_from_peers").incr();
-                        out.push(SwarmEvent::PieceVerified(piece));
-                        // Announce to everyone else (they may want it).
-                        for guid in self.remotes.keys() {
-                            out.push(SwarmEvent::Send(*guid, SwarmMsg::Have { piece }));
-                        }
-                        if self.mine.is_complete() {
-                            out.push(SwarmEvent::Completed);
-                        }
-                    }
-                } else {
-                    self.metrics.counter("peer.swarm_pieces_corrupt").incr();
-                    out.push(SwarmEvent::CorruptPiece(from, piece));
-                }
-                if !self.mine.is_complete() {
-                    if let Some(ev) = self.pump_one(from, rng) {
-                        out.push(ev);
-                    }
-                }
-            }
+            } => return self.on_peer_piece(from, piece, &data, digest, rng),
             SwarmMsg::Busy => {
                 // The polite replacement for choking: free the in-flight
                 // slot; the piece goes back to the pool.
@@ -201,6 +164,57 @@ impl SwarmSession {
             // Handshake/HaveMap are handled by the connection layer;
             // Request/Cancel belong to the upload side.
             _ => {}
+        }
+        out
+    }
+
+    /// Handle a [`SwarmMsg::Piece`] from a remote, borrowing the bytes: a
+    /// caller that keeps verified pieces (the live daemon) holds on to
+    /// `data` and stores it when a `PieceVerified` comes back.
+    pub fn on_peer_piece(
+        &mut self,
+        from: Guid,
+        piece: PieceIndex,
+        data: &[u8],
+        digest: netsession_core::hash::Digest,
+        rng: &mut DetRng,
+    ) -> Vec<SwarmEvent> {
+        let mut out = Vec::new();
+        let ok = if data.is_empty() {
+            // Simulation flavour: verify by digest.
+            self.manifest.verify_digest(piece, digest)
+        } else {
+            self.manifest.verify_piece(piece, data)
+        };
+        self.picker.request_finished(piece);
+        if let Some(remote) = self.remotes.get_mut(&from) {
+            remote.in_flight = None;
+            if ok {
+                remote.pieces_received += 1;
+            } else {
+                remote.corrupt_received += 1;
+            }
+        }
+        if ok {
+            if self.mine.set(piece) {
+                self.metrics.counter("peer.swarm_pieces_from_peers").incr();
+                out.push(SwarmEvent::PieceVerified(piece));
+                // Announce to everyone else (they may want it).
+                for guid in self.remotes.keys() {
+                    out.push(SwarmEvent::Send(*guid, SwarmMsg::Have { piece }));
+                }
+                if self.mine.is_complete() {
+                    out.push(SwarmEvent::Completed);
+                }
+            }
+        } else {
+            self.metrics.counter("peer.swarm_pieces_corrupt").incr();
+            out.push(SwarmEvent::CorruptPiece(from, piece));
+        }
+        if !self.mine.is_complete() {
+            if let Some(ev) = self.pump_one(from, rng) {
+                out.push(ev);
+            }
         }
         out
     }

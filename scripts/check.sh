@@ -132,10 +132,10 @@ if [ -z "$found_bench" ]; then
     exit 1
 fi
 
-echo "== perf trajectory (perfbench --trend: every snapshot parses, BENCH_13 present)"
+echo "== perf trajectory (perfbench --trend: every snapshot parses, BENCH_15 present)"
 # Cross-PR table from every committed BENCH_*.json; fails when this PR's
 # snapshot is missing or lacks the families its issue is required to carry.
-"$perfbench_bin" --trend --require 13
+"$perfbench_bin" --trend --require 15
 
 echo "== committed trace exports stay under 1 MiB"
 oversize="$(find results -name '*.trace.json' -size +1M 2>/dev/null || true)"
