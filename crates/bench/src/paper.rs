@@ -1,8 +1,15 @@
 //! The paper's experiment table: every table and figure of §4–§6 is a view
-//! of one simulated month, so each entry renders one [`SimOutput`] to the
-//! text committed as `results/<name>.txt`. The `paper` binary runs the
-//! simulation once and walks this table (DESIGN.md's per-experiment index
-//! E1–E21 maps paper artifacts to entries).
+//! of one simulated month, and every design argument (the §3.8 chaos
+//! campaign, ablations A1–A6) is that month with one parameter changed. An
+//! entry names the months it reads — the standard config at its committed
+//! scale plus a config delta each — and renders their [`SimOutput`]s to the
+//! text committed as `results/<name>.txt`. The `paper` binary [`plan`]s the
+//! selected entries, simulates every *distinct* config once and walks this
+//! table (DESIGN.md's per-experiment index E1–E21 and A1–A6 maps paper
+//! artifacts to entries).
+
+mod ablations;
+mod chaos;
 
 use netsession_analytics::guidgraph::{self, ChainPattern};
 use netsession_analytics::regions::{self, CoverageClass};
@@ -11,40 +18,191 @@ use netsession_analytics::{
     astraffic, efficiency, mobility, outcomes, overview, settings, sizes, speeds,
 };
 use netsession_core::time::TRACE_MONTH;
-use netsession_hybrid::SimOutput;
+use netsession_hybrid::{HybridSim, ScenarioConfig, SimOutput};
 use netsession_world::customers::{customer_by_cp, customer_by_name, CUSTOMERS};
 use netsession_world::geo::{continent_of, Continent, Region, WORLD_COUNTRIES};
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
-use crate::runner::pct;
+use crate::runner::{config_for, pct, ExperimentArgs, Overrides};
 
-/// One paper artifact: its name (the `paper` binary's positional argument
-/// and the stem of `results/<name>.txt`) and its renderer over the one
-/// standard run.
-pub type Experiment = (&'static str, fn(&SimOutput) -> String);
+/// What one month changes in the standard config.
+pub type Delta = fn(&mut ScenarioConfig);
 
-/// Every paper artifact, in DESIGN.md index order (E1–E20).
+/// An entry's renderer: pulls its months in `runs` order (each is simulated
+/// when pulled unless an earlier reader left it behind, and freed when the
+/// renderer lets go of it unless a later reader needs it) and returns one
+/// text per output file, `<name>.txt` first, then `extra` in order.
+pub type Render = fn(&mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String>;
+
+/// One simulated month an entry reads.
+pub struct Run {
+    /// Applied to the standard config at the entry's scale.
+    pub delta: Delta,
+    /// Stem of the `results/<stem>.{metrics,trace}.json` pair this month's
+    /// telemetry is committed as, if it is.
+    pub sidecars: Option<&'static str>,
+}
+
+/// The fault-free standard month: what every figure reads.
+const MONTH: Run = Run {
+    delta: |_| {},
+    sidecars: Some("paper"),
+};
+
+/// One paper artifact.
+pub struct Experiment {
+    /// The `paper` binary's positional argument and the stem of
+    /// `results/<name>.txt`.
+    pub name: &'static str,
+    /// The scale the committed artifact was rendered at (flags override).
+    pub scale: ExperimentArgs,
+    /// The months it reads.
+    pub runs: &'static [Run],
+    /// Further files it writes beside `results/<name>.txt`.
+    pub extra: &'static [&'static str],
+    /// Renders them.
+    pub render: Render,
+}
+
+impl Experiment {
+    /// The files this entry writes under `results/`, in `render` order.
+    pub fn outputs(&self) -> impl Iterator<Item = String> + '_ {
+        std::iter::once(format!("{}.txt", self.name))
+            .chain(self.extra.iter().map(|f| f.to_string()))
+    }
+}
+
+/// A view of the standard month, named after its renderer below.
+macro_rules! figure {
+    ($name:ident) => {
+        Experiment {
+            name: stringify!($name),
+            scale: ExperimentArgs::FIGURES,
+            runs: &[MONTH],
+            extra: &[],
+            render: |months| vec![$name(&months.next().expect("a figure reads one month"))],
+        }
+    };
+}
+
+/// A comparison across `runs`, none of which commits telemetry.
+const fn ablation(name: &'static str, runs: &'static [Run], render: Render) -> Experiment {
+    Experiment {
+        name,
+        scale: ExperimentArgs::ABLATIONS,
+        runs,
+        extra: &[],
+        render,
+    }
+}
+
+/// A month that commits no telemetry.
+const fn vary(delta: Delta) -> Run {
+    Run {
+        delta,
+        sidecars: None,
+    }
+}
+
+/// Every paper artifact, in DESIGN.md index order (E1–E20, the chaos
+/// campaign, A1–A6).
 pub const EXPERIMENTS: &[Experiment] = &[
-    ("table1", table1),
-    ("table2", table2),
-    ("table3", table3),
-    ("table4", table4),
-    ("fig2", fig2),
-    ("fig3a", fig3a),
-    ("fig3b", fig3b),
-    ("fig3c", fig3c),
-    ("fig4", fig4),
-    ("fig5", fig5),
-    ("fig6", fig6),
-    ("fig7", fig7),
-    ("fig8", fig8),
-    ("fig9", fig9),
-    ("fig10", fig10),
-    ("fig11", fig11),
-    ("fig12", fig12),
-    ("headline", headline),
-    ("outcomes", outcomes),
-    ("mobility", mobility),
+    figure!(table1),
+    figure!(table2),
+    figure!(table3),
+    figure!(table4),
+    figure!(fig2),
+    figure!(fig3a),
+    figure!(fig3b),
+    figure!(fig3c),
+    figure!(fig4),
+    figure!(fig5),
+    figure!(fig6),
+    figure!(fig7),
+    figure!(fig8),
+    figure!(fig9),
+    figure!(fig10),
+    figure!(fig11),
+    figure!(fig12),
+    figure!(headline),
+    figure!(outcomes),
+    figure!(mobility),
+    Experiment {
+        name: "chaos",
+        scale: ExperimentArgs::FIGURES,
+        runs: &[
+            MONTH,
+            Run {
+                delta: |c| c.faults.events = chaos::campaign(),
+                sidecars: Some("chaos"),
+            },
+        ],
+        extra: &["alerts.txt", "alerts.json"],
+        render: chaos::render,
+    },
+    // The ladder only matters when there are more candidates than slots;
+    // both A1 months return few peers so selection is actually selective.
+    ablation(
+        "ablate_locality",
+        &[
+            vary(|c| {
+                c.locality_aware = true;
+                c.peers_returned = 8;
+            }),
+            vary(|c| {
+                c.locality_aware = false;
+                c.peers_returned = 8;
+            }),
+        ],
+        ablations::locality,
+    ),
+    ablation(
+        "ablate_backstop",
+        &[
+            vary(|c| c.edge_backstop = true),
+            vary(|c| c.edge_backstop = false),
+        ],
+        ablations::backstop,
+    ),
+    ablation(
+        "ablate_uploadcap",
+        &[
+            vary(|c| c.per_object_upload_cap = Some(30)),
+            vary(|c| c.per_object_upload_cap = None),
+        ],
+        ablations::uploadcap,
+    ),
+    ablation(
+        "ablate_peerlist",
+        &[
+            vary(|c| c.peers_returned = 5),
+            vary(|c| c.peers_returned = 10),
+            vary(|c| c.peers_returned = 20),
+            vary(|c| c.peers_returned = 40),
+        ],
+        ablations::peerlist,
+    ),
+    ablation(
+        "ablate_enablefrac",
+        &[
+            vary(|c| c.enable_fraction_override = Some(0.0)),
+            vary(|c| c.enable_fraction_override = Some(0.1)),
+            vary(|c| c.enable_fraction_override = Some(0.31)),
+            vary(|c| c.enable_fraction_override = Some(0.6)),
+            vary(|c| c.enable_fraction_override = Some(1.0)),
+        ],
+        ablations::enablefrac,
+    ),
+    ablation(
+        "ablate_sessions",
+        &[
+            vary(|c| c.session_mode_factor = 1.0),
+            vary(|c| c.session_mode_factor = 0.5),
+            vary(|c| c.session_mode_factor = 0.15),
+        ],
+        ablations::sessions,
+    ),
 ];
 
 /// The entries named by `names`, in table order (all of them when `names`
@@ -52,9 +210,9 @@ pub const EXPERIMENTS: &[Experiment] = &[
 pub fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
     if let Some(bad) = names
         .iter()
-        .find(|n| !EXPERIMENTS.iter().any(|(name, _)| name == n))
+        .find(|n| !EXPERIMENTS.iter().any(|e| e.name == *n))
     {
-        let known: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         return Err(format!(
             "unknown experiment {bad} (known: {})",
             known.join(" ")
@@ -62,8 +220,112 @@ pub fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
     }
     Ok(EXPERIMENTS
         .iter()
-        .filter(|(name, _)| names.is_empty() || names.iter().any(|n| n == name))
+        .filter(|e| names.is_empty() || names.iter().any(|n| n == e.name))
         .collect())
+}
+
+/// One distinct month of a [`Plan`].
+pub struct PlannedRun {
+    /// The month's full config: an entry's standard config plus a delta.
+    pub config: ScenarioConfig,
+    /// Stem its telemetry pair is written under, if any reader commits it.
+    pub sidecars: Option<&'static str>,
+    /// `config`'s `Debug` text: `ScenarioConfig` has no `PartialEq`, and
+    /// every field prints exactly.
+    key: String,
+    /// Reads of it still to come.
+    reads: usize,
+    /// Its output, once simulated and while `reads` is not zero.
+    held: Option<Rc<SimOutput>>,
+}
+
+/// The selected entries and the distinct months they read: two runs whose
+/// deltas build equal configs are one month, simulated once.
+pub struct Plan {
+    /// Distinct months, in first-use order.
+    pub runs: Vec<PlannedRun>,
+    /// Each selected entry with one index into `runs` per entry run.
+    pub entries: Vec<(&'static Experiment, Vec<usize>)>,
+}
+
+/// Plan `selected` (table order) under the command line's `flags`.
+pub fn plan(selected: &[&'static Experiment], flags: &Overrides) -> Plan {
+    let mut runs: Vec<PlannedRun> = Vec::new();
+    let mut entries = Vec::new();
+    for exp in selected {
+        let standard = config_for(&flags.over(exp.scale));
+        let reads = exp.runs.iter().map(|run| {
+            let mut config = standard.clone();
+            (run.delta)(&mut config);
+            let key = format!("{config:?}");
+            let i = runs.iter().position(|r| r.key == key).unwrap_or_else(|| {
+                runs.push(PlannedRun {
+                    config,
+                    sidecars: None,
+                    key,
+                    reads: 0,
+                    held: None,
+                });
+                runs.len() - 1
+            });
+            runs[i].sidecars = runs[i].sidecars.or(run.sidecars);
+            runs[i].reads += 1;
+            i
+        });
+        entries.push((*exp, reads.collect()));
+    }
+    Plan { runs, entries }
+}
+
+impl Plan {
+    /// Walk the entries in order. An entry's months are simulated as its
+    /// renderer pulls them, and a month is held only until its last read,
+    /// so a sweep keeps one month alive at a time (plus any a later entry
+    /// shares). `emit(file, text, echo)` receives every file to write
+    /// under `results/` — per entry, the telemetry pairs of the months it
+    /// simulated, then its outputs — with `echo` set on `<name>.txt`,
+    /// which the `paper` binary also prints.
+    pub fn execute<E>(
+        self,
+        mut emit: impl FnMut(&str, &str, bool) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let Plan { mut runs, entries } = self;
+        for (exp, reads) in &entries {
+            let mut sidecars = Vec::new();
+            let mut months = reads.iter().map(|&i| {
+                let run = &mut runs[i];
+                run.reads -= 1;
+                let out = run.held.take().unwrap_or_else(|| {
+                    let out = Rc::new(HybridSim::run_config(run.config.clone()));
+                    if let Some(stem) = run.sidecars {
+                        // The full snapshot (volatile wall-clock section
+                        // included) and the sampled download traces as
+                        // Chrome trace-event JSON (deterministic: same
+                        // seed, same bytes) for Perfetto and `trace_explain`.
+                        sidecars.push((
+                            format!("{stem}.metrics.json"),
+                            out.metrics.full_snapshot_json(),
+                        ));
+                        sidecars
+                            .push((format!("{stem}.trace.json"), out.trace.export_chrome_json()));
+                    }
+                    out
+                });
+                if run.reads > 0 {
+                    run.held = Some(out.clone());
+                }
+                out
+            });
+            let texts = (exp.render)(&mut months);
+            for (file, text) in &sidecars {
+                emit(file, text, false)?;
+            }
+            for (n, (file, text)) in exp.outputs().zip(&texts).enumerate() {
+                emit(&file, text, n == 0)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// E1 — Table 1: overall statistics for the data set.

@@ -1,0 +1,269 @@
+//! Ablations A1–A6 as `paper` entries: each design argument of §3 is the
+//! standard month with one parameter changed, so each renderer prints one
+//! row per month it is handed and labels the row from that month's own
+//! config (the deltas live in the table, `paper::EXPERIMENTS`).
+
+use netsession_analytics::stats::{mean, Cdf};
+use netsession_analytics::{astraffic, outcomes, overview};
+use netsession_baseline::bittorrent::{Swarm, SwarmConfig};
+use netsession_core::rng::DetRng;
+use netsession_hybrid::SimOutput;
+use netsession_logs::records::DownloadOutcome;
+use std::collections::HashMap;
+use std::rc::Rc;
+
+/// A1 — locality-aware selection vs random selection.
+///
+/// The paper argues (§3.7, §6.1, citing Choffnes & Bustamante) that a
+/// simple locality-aware selection strategy avoids burdening ISPs. This
+/// ablation turns the locality ladder off and measures intra-AS share and
+/// cross-region traffic.
+pub(super) fn locality(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+    let mut txt = String::new();
+    txt += "A1: impact of locality-aware peer selection\n";
+    txt += &format!(
+        "{:<22}{:>14}{:>18}{:>14}\n",
+        "policy", "intra-AS %", "cross-country %", "p2p TB"
+    );
+    for out in months {
+        let label = if out.scenario.config.locality_aware {
+            "locality ladder ON"
+        } else {
+            "random selection"
+        };
+        let t = astraffic::build(&out.dataset);
+        // Cross-country share of p2p bytes.
+        let mut cross_country = 0u64;
+        let mut total = 0u64;
+        for rec in &out.dataset.transfers {
+            total += rec.bytes.bytes();
+            if rec.from_country != rec.to_country {
+                cross_country += rec.bytes.bytes();
+            }
+        }
+        txt += &format!(
+            "{:<22}{:>14.1}{:>18.1}{:>14.2}\n",
+            label,
+            t.intra_as_share() * 100.0,
+            cross_country as f64 / total.max(1) as f64 * 100.0,
+            out.stats.p2p_bytes as f64 / 1e12
+        );
+    }
+    txt.push('\n');
+    txt += "expectation: locality ON keeps more traffic intra-AS and in-country \
+            (ISP-friendly), at equal p2p volume\n";
+    vec![txt]
+}
+
+/// A2 — the edge backstop vs pure p2p.
+///
+/// The defining hybrid property (§2.3, §3.3): "if a peer is 'unlucky' and
+/// picks peers that are slow or unreliable, the infrastructure can cover
+/// the difference." Turning the backstop off should crater completion and
+/// speed for unlucky downloads; the BitTorrent baseline shows the same
+/// failure mode independently.
+pub(super) fn backstop(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+    let mut txt = String::new();
+    txt += "A2: the infrastructure backstop\n";
+    txt += &format!(
+        "{:<22}{:>12}{:>14}{:>18}\n",
+        "system", "completed", "abandoned", "median speed Mbps"
+    );
+    let mut months = months.peekable();
+    let seed = months.peek().map_or(0, |out| out.scenario.config.seed);
+    for out in months {
+        let label = if out.scenario.config.edge_backstop {
+            "hybrid (backstop)"
+        } else {
+            "pure p2p (no edge)"
+        };
+        let (infra, p2p) = outcomes::outcome_split(&out.dataset);
+        let completed = (infra.completed * infra.total as f64 + p2p.completed * p2p.total as f64)
+            / (infra.total + p2p.total).max(1) as f64;
+        let abandoned = (infra.abandoned * infra.total as f64 + p2p.abandoned * p2p.total as f64)
+            / (infra.total + p2p.total).max(1) as f64;
+        let speeds: Vec<f64> = out
+            .dataset
+            .downloads
+            .iter()
+            .filter(|d| d.outcome == DownloadOutcome::Completed)
+            .map(|d| d.mean_speed().as_mbps())
+            .filter(|s| *s > 0.0)
+            .collect();
+        let median = if speeds.is_empty() {
+            0.0
+        } else {
+            Cdf::from_values(speeds).median()
+        };
+        txt += &format!(
+            "{:<22}{:>11.1}%{:>13.1}%{:>18.2}\n",
+            label,
+            completed * 100.0,
+            abandoned * 100.0,
+            median
+        );
+    }
+
+    // The independent BitTorrent baseline: seed death strands the swarm.
+    let mut rng = DetRng::seeded(seed);
+    let healthy = Swarm::new(SwarmConfig::default(), &mut rng).run(&mut rng);
+    let mut rng = DetRng::seeded(seed);
+    let orphaned = Swarm::new(
+        SwarmConfig {
+            seed_leaves_at: Some(2),
+            ..SwarmConfig::default()
+        },
+        &mut rng,
+    )
+    .run(&mut rng);
+    txt.push('\n');
+    txt += &format!(
+        "BitTorrent baseline: completion {:.0}% with stable seed, {:.0}% when the seed dies early\n",
+        healthy.completion_rate() * 100.0,
+        orphaned.completion_rate() * 100.0
+    );
+    vec![txt]
+}
+
+/// A3 — the per-object upload cap.
+///
+/// §6.1: "NetSession avoids such biases in part by limiting the number of
+/// times a peer will upload a file it has locally cached." Removing the
+/// cap should skew upload volume toward a smaller set of (high-upstream)
+/// peers and ASes.
+pub(super) fn uploadcap(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+    let mut txt = String::new();
+    txt += "A3: the per-object upload cap\n";
+    txt += &format!(
+        "{:<18}{:>14}{:>22}{:>20}\n",
+        "policy", "p2p TB", "top-1% uploader share", "max uploads/peer"
+    );
+    for out in months {
+        let label = match out.scenario.config.per_object_upload_cap {
+            Some(cap) => format!("cap = {cap}"),
+            None => "uncapped".to_string(),
+        };
+        // Upload bytes per uploader GUID.
+        let mut per_uploader: HashMap<u128, u64> = HashMap::new();
+        for t in &out.dataset.transfers {
+            *per_uploader.entry(t.from_guid.0).or_insert(0) += t.bytes.bytes();
+        }
+        let mut vols: Vec<u64> = per_uploader.values().copied().collect();
+        vols.sort_unstable_by(|a, b| b.cmp(a));
+        let total: u64 = vols.iter().sum();
+        let top1: u64 = vols[..(vols.len() / 100).max(1)].iter().sum();
+        // Upload *counts* per (uploader, object).
+        let mut counts: HashMap<(u128, u64), u32> = HashMap::new();
+        for t in &out.dataset.transfers {
+            *counts.entry((t.from_guid.0, t.object.0)).or_insert(0) += 1;
+        }
+        let max_count = counts.values().max().copied().unwrap_or(0);
+        txt += &format!(
+            "{:<18}{:>14.2}{:>21.1}%{:>20}\n",
+            label,
+            out.stats.p2p_bytes as f64 / 1e12,
+            top1 as f64 / total.max(1) as f64 * 100.0,
+            max_count
+        );
+    }
+    txt.push('\n');
+    txt += "expectation: uncapped concentrates upload volume on fewer peers\n";
+    vec![txt]
+}
+
+/// A4 — sweep of the peers initially returned by the control plane.
+///
+/// Fig 6 reads peer efficiency against the peer-list size the standard run
+/// happened to return; this ablation forces the control-plane `max_peers`
+/// to 5/10/20/40 and re-simulates. Paper shape: ~80 % efficiency is
+/// generally reached with about 25–30 peers, consistent with BitTorrent
+/// needing a few tens of peers.
+pub(super) fn peerlist(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+    let mut txt = String::new();
+    txt += "A4 sweep: forcing max peers returned (re-simulating)\n";
+    txt += &format!("{:>12}{:>12}\n", "max_peers", "mean eff %");
+    for out in months {
+        let effs: Vec<f64> = out
+            .dataset
+            .downloads
+            .iter()
+            .filter(|d| d.p2p_enabled && d.outcome == DownloadOutcome::Completed)
+            .map(|d| d.peer_efficiency() * 100.0)
+            .collect();
+        txt += &format!(
+            "{:>12}{:>12.1}\n",
+            out.scenario.config.peers_returned,
+            mean(effs)
+        );
+    }
+    vec![txt]
+}
+
+/// A5 — sweep of the uploads-enabled fraction.
+///
+/// §5.1 observes ~31 % enabled and argues the infrastructure "can easily
+/// absorb the cost of a few users who decide not to upload" (§3.4). The
+/// sweep quantifies how peer efficiency and edge offload scale with the
+/// willing-uploader fraction.
+pub(super) fn enablefrac(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+    let mut txt = String::new();
+    txt += "A5: uploads-enabled fraction sweep\n";
+    txt += &format!(
+        "{:>10}{:>16}{:>14}{:>14}\n",
+        "enabled", "mean eff %", "p2p TB", "edge TB"
+    );
+    for out in months {
+        let frac = out
+            .scenario
+            .config
+            .enable_fraction_override
+            .expect("every A5 month forces the enabled fraction");
+        let h = overview::headline(&out.dataset);
+        txt += &format!(
+            "{:>9.0}%{:>16.1}{:>14.2}{:>14.2}\n",
+            frac * 100.0,
+            h.mean_peer_efficiency * 100.0,
+            out.stats.p2p_bytes as f64 / 1e12,
+            out.stats.edge_bytes as f64 / 1e12
+        );
+    }
+    txt.push('\n');
+    txt += "expectation: efficiency grows with the enabled fraction; ~31% already \
+            yields the bulk of the achievable offload (diminishing returns)\n";
+    vec![txt]
+}
+
+/// A6 — persistent background client vs launch-on-demand sessions.
+///
+/// §3.4: "the short session times that have been observed in p2p systems
+/// suggest that users launch the client only when they intend to download
+/// something, so the time window in which objects can be uploaded to other
+/// peers tends to be very short. As a persistent background application,
+/// NetSession does not have this problem." The ablation shrinks each
+/// peer's daily online window to model launch-on-demand clients.
+pub(super) fn sessions(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+    let mut txt = String::new();
+    txt += "A6: background client vs launch-on-demand sessions\n";
+    txt += &format!(
+        "{:<28}{:>16}{:>14}{:>12}\n",
+        "availability model", "mean eff %", "p2p TB", "logins"
+    );
+    for out in months {
+        let label = match (out.scenario.config.session_mode_factor * 100.0).round() as u32 {
+            100 => "persistent background".to_string(),
+            50 => "half-day sessions".to_string(),
+            pct => format!("short sessions ({pct}%)"),
+        };
+        let h = overview::headline(&out.dataset);
+        txt += &format!(
+            "{:<28}{:>16.1}{:>14.2}{:>12}\n",
+            label,
+            h.mean_peer_efficiency * 100.0,
+            out.stats.p2p_bytes as f64 / 1e12,
+            out.stats.logins
+        );
+    }
+    txt.push('\n');
+    txt += "expectation: shorter upload windows shrink swarm capacity and efficiency\n";
+    vec![txt]
+}

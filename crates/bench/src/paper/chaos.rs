@@ -1,26 +1,27 @@
-//! chaos — the §3.8 robustness campaign.
+//! The §3.8 robustness campaign as a `paper` entry.
 //!
-//! Runs the standard scenario twice with the same seed: once untouched
-//! (baseline) and once under a deterministic fault-injection campaign —
-//! CN crashes (paced readmission), DN soft-state wipes (RE-ADD
-//! fate-sharing), a fleet-wide edge outage (backstop flows cut, then
-//! re-attached), and a mass churn burst. Reports the service-level
-//! damage (completion rate, peer-efficiency dip) and the recovery
-//! machinery's work, plus per-fault-class recovery latency measured from
-//! the always-sampled fault trace spans.
+//! Reads two months with the same seed: the standard one (baseline) and
+//! one under a deterministic fault-injection campaign — CN crashes (paced
+//! readmission), DN soft-state wipes (RE-ADD fate-sharing), a fleet-wide
+//! edge outage (backstop flows cut, then re-attached), and a mass churn
+//! burst. Reports the service-level damage (completion rate,
+//! peer-efficiency dip) and the recovery machinery's work, plus
+//! per-fault-class recovery latency measured from the always-sampled fault
+//! trace spans, and the alert log with its time-to-detection table
+//! (`results/alerts.{txt,json}`).
 
-use netsession_bench::runner::{
-    config_for, parse_flags_or_exit, pct, write_result, write_sidecars,
-};
 use netsession_hybrid::alerts::FAULT_CLASS_RULES;
-use netsession_hybrid::{FaultEvent, FaultKind, HybridSim, SimOutput};
+use netsession_hybrid::{FaultEvent, FaultKind, SimOutput};
 use netsession_logs::records::DownloadOutcome;
 use netsession_obs::json::push_str_literal;
 use netsession_obs::AlertEvent;
 use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use crate::runner::pct;
 
 /// The injected campaign: one fault class per week, every region.
-fn campaign() -> Vec<FaultEvent> {
+pub(super) fn campaign() -> Vec<FaultEvent> {
     let mut events = Vec::new();
     for region in 0..9 {
         events.push(FaultEvent {
@@ -46,34 +47,51 @@ fn campaign() -> Vec<FaultEvent> {
     events
 }
 
-/// First injection hour of each fault class, in [`FAULT_CLASS_RULES`]
-/// order (joined against the campaign above).
-const INJECTION_HOURS: [u64; 4] = [186, 330, 480, 600];
+/// The [`FAULT_CLASS_RULES`] class label of a fault.
+fn class_of(kind: &FaultKind) -> &'static str {
+    match kind {
+        FaultKind::CnCrash { .. } => "cn_crash",
+        FaultKind::DnWipe { .. } => "dn_wipe",
+        FaultKind::EdgeOutage { .. } => "edge_outage",
+        FaultKind::ChurnBurst { .. } => "churn_burst",
+    }
+}
 
-/// Time-to-detection per fault class: the first raise of the class's
-/// detection rule at-or-after its injection instant.
+/// Hour of the first injection of fault class `class` in `events`.
+fn injection_hour(events: &[FaultEvent], class: &str) -> Option<u64> {
+    events
+        .iter()
+        .filter(|e| class_of(&e.kind) == class)
+        .map(|e| e.at_hours)
+        .min()
+}
+
+/// Time-to-detection per fault class the run's own campaign injected: the
+/// first raise of the class's detection rule at-or-after its first
+/// injection instant.
 fn detection_table(out: &SimOutput) -> Vec<(&'static str, &'static str, u64, Option<u64>)> {
     FAULT_CLASS_RULES
         .iter()
-        .zip(INJECTION_HOURS)
-        .map(|((class, rule, _), at_hours)| {
+        .filter_map(|(class, rule, _)| {
+            let at_hours = injection_hour(&out.scenario.config.faults.events, class)?;
             let injected_us = at_hours * 3_600_000_000;
             let detected = out
                 .alerts
                 .iter()
                 .find(|e| e.rule == *rule && e.raised && e.at_us >= injected_us)
                 .map(|e| e.at_us);
-            (*class, *rule, injected_us, detected)
+            Some((*class, *rule, injected_us, detected))
         })
         .collect()
 }
 
-/// Deterministic sidecar: the full alert log plus the TTD table as JSON.
-fn write_alerts_sidecars(
+/// The alert log as text and, with the TTD table, as JSON
+/// (`results/alerts.txt`, `results/alerts.json`).
+fn alerts_files(
     ttd: &[(&str, &str, u64, Option<u64>)],
     log: &[AlertEvent],
     baseline_alerts: usize,
-) -> std::io::Result<()> {
+) -> (String, String) {
     let mut txt = String::from("# chaos-run alert transitions (virtual time)\n");
     for e in log {
         txt.push_str(&format!(
@@ -112,9 +130,7 @@ fn write_alerts_sidecars(
         json.push_str(if i + 1 < log.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
-
-    write_result("alerts", "txt", txt.as_bytes())?;
-    write_result("alerts", "json", json.as_bytes())
+    (txt, json)
 }
 
 fn completion_rate(out: &SimOutput) -> f64 {
@@ -157,64 +173,57 @@ fn daily_efficiency(out: &SimOutput) -> BTreeMap<u64, f64> {
         .collect()
 }
 
-fn main() -> std::io::Result<()> {
-    let args = parse_flags_or_exit("chaos");
-    let cfg = config_for(&args);
-
-    let baseline = HybridSim::run_config(cfg.clone());
+/// `chaos.txt`, `alerts.txt` and `alerts.json` from the baseline month and
+/// the campaign month.
+pub(super) fn render(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+    let mut month = || months.next().expect("chaos reads two months");
+    let (baseline, out) = (&month(), &month());
     assert!(
         baseline.alerts.is_empty(),
         "zero-fault baseline fired alerts (false positives): {:?}",
         baseline.alerts
     );
-    let mut chaos_cfg = cfg;
-    chaos_cfg.faults.events = campaign();
-    let out = HybridSim::run_config(chaos_cfg);
-    write_sidecars("chaos", &out.metrics, &out.trace)?;
-    let ttd = detection_table(&out);
-    write_alerts_sidecars(&ttd, &out.alerts, baseline.alerts.len())?;
+    let ttd = detection_table(out);
+    let (alerts_txt, alerts_json) = alerts_files(&ttd, &out.alerts, baseline.alerts.len());
 
-    println!("injected campaign (one fault class per week, all 9 regions):");
-    println!(
-        "  day  8  cn_crash     control connections drop; paced readmission + re-registration"
-    );
-    println!("  day 14  dn_wipe      directory soft state lost; paced RE-ADD repopulates it");
-    println!(
-        "  day 20  edge_outage  edge dark for 2h; backstop flows cut, re-attached on recovery"
-    );
-    println!("  day 25  churn_burst  30% of idle online peers drop offline at once");
-    println!();
+    let mut txt = String::new();
+    txt += "injected campaign (one fault class per week, all 9 regions):\n";
+    txt += "  day  8  cn_crash     control connections drop; paced readmission + re-registration\n";
+    txt += "  day 14  dn_wipe      directory soft state lost; paced RE-ADD repopulates it\n";
+    txt += "  day 20  edge_outage  edge dark for 2h; backstop flows cut, re-attached on recovery\n";
+    txt += "  day 25  churn_burst  30% of idle online peers drop offline at once\n";
+    txt.push('\n');
 
-    println!("service level                   baseline     chaos");
-    println!(
-        "downloads completed             {:<12} {}",
+    txt += "service level                   baseline     chaos\n";
+    txt += &format!(
+        "downloads completed             {:<12} {}\n",
         baseline.stats.completed, out.stats.completed
     );
-    println!(
-        "completion rate                 {:<12} {}",
-        pct(completion_rate(&baseline)),
-        pct(completion_rate(&out))
+    txt += &format!(
+        "completion rate                 {:<12} {}\n",
+        pct(completion_rate(baseline)),
+        pct(completion_rate(out))
     );
-    println!(
-        "peer efficiency (byte share)    {:<12} {}",
-        pct(peer_efficiency(&baseline)),
-        pct(peer_efficiency(&out))
+    txt += &format!(
+        "peer efficiency (byte share)    {:<12} {}\n",
+        pct(peer_efficiency(baseline)),
+        pct(peer_efficiency(out))
     );
-    println!(
-        "p2p bytes (TB)                  {:<12.2} {:.2}",
+    txt += &format!(
+        "p2p bytes (TB)                  {:<12.2} {:.2}\n",
         baseline.stats.p2p_bytes as f64 / 1e12,
         out.stats.p2p_bytes as f64 / 1e12
     );
-    println!(
-        "edge bytes (TB)                 {:<12.2} {:.2}",
+    txt += &format!(
+        "edge bytes (TB)                 {:<12.2} {:.2}\n",
         baseline.stats.edge_bytes as f64 / 1e12,
         out.stats.edge_bytes as f64 / 1e12
     );
-    println!();
+    txt.push('\n');
 
     // The worst per-day peer-efficiency dip vs the baseline.
-    let base_daily = daily_efficiency(&baseline);
-    let chaos_daily = daily_efficiency(&out);
+    let base_daily = daily_efficiency(baseline);
+    let chaos_daily = daily_efficiency(out);
     let mut worst: Option<(u64, f64, f64)> = None;
     for (day, chaos_eff) in &chaos_daily {
         let Some(base_eff) = base_daily.get(day) else {
@@ -226,48 +235,50 @@ fn main() -> std::io::Result<()> {
         }
     }
     match worst {
-        Some((day, base_eff, chaos_eff)) => println!(
-            "worst peer-efficiency dip: day {:>2}  {} -> {}  ({:+.1} pts)",
-            day,
-            pct(base_eff),
-            pct(chaos_eff),
-            (chaos_eff - base_eff) * 100.0
-        ),
-        None => println!("worst peer-efficiency dip: n/a"),
+        Some((day, base_eff, chaos_eff)) => {
+            txt += &format!(
+                "worst peer-efficiency dip: day {:>2}  {} -> {}  ({:+.1} pts)\n",
+                day,
+                pct(base_eff),
+                pct(chaos_eff),
+                (chaos_eff - base_eff) * 100.0
+            )
+        }
+        None => txt += "worst peer-efficiency dip: n/a\n",
     }
-    println!();
+    txt.push('\n');
 
     let counter = |name: &str| out.metrics.counter(name).get();
-    println!("recovery machinery (chaos run):");
-    println!(
-        "  cn crashes: {} dropped {} connections; {} paced readmissions re-registered {} cached versions",
+    txt += "recovery machinery (chaos run):\n";
+    txt += &format!(
+        "  cn crashes: {} dropped {} connections; {} paced readmissions re-registered {} cached versions\n",
         counter("hybrid.fault.cn_crashes"),
         counter("hybrid.fault.peers_disconnected"),
         counter("hybrid.fault.readmissions"),
         counter("hybrid.fault.reregistered_versions"),
     );
-    println!(
-        "  dn wipes:   {} triggered {} RE-ADDs covering {} versions",
+    txt += &format!(
+        "  dn wipes:   {} triggered {} RE-ADDs covering {} versions\n",
         counter("hybrid.fault.dn_wipes"),
         counter("hybrid.fault.readds"),
         counter("hybrid.fault.readd_versions"),
     );
-    println!(
-        "  edge:       {} outages cut {} backstop flows, {} re-attached on recovery",
+    txt += &format!(
+        "  edge:       {} outages cut {} backstop flows, {} re-attached on recovery\n",
         counter("hybrid.fault.edge_outages"),
         counter("hybrid.fault.edge_flows_cut"),
         counter("hybrid.fault.edge_flows_restored"),
     );
-    println!(
-        "  churn:      {} burst(s) took {} peers offline",
+    txt += &format!(
+        "  churn:      {} burst(s) took {} peers offline\n",
         counter("hybrid.fault.churn_bursts"),
         counter("hybrid.fault.churn_offline"),
     );
-    println!(
-        "  degraded:   {} downloads started edge-only while control was unreachable",
+    txt += &format!(
+        "  degraded:   {} downloads started edge-only while control was unreachable\n",
         counter("hybrid.fault.edge_only_downloads"),
     );
-    println!();
+    txt.push('\n');
 
     // Recovery latency per fault class, from the always-sampled fault
     // spans (span end covers the paced recovery wave / outage window).
@@ -282,43 +293,59 @@ fn main() -> std::io::Result<()> {
         e.0 += 1;
         e.1 = e.1.max(dur);
     }
-    println!("recovery latency (virtual time, per fault class):");
+    txt += "recovery latency (virtual time, per fault class):\n";
     for (name, (n, max_us)) in &latency {
-        println!(
-            "  {:<18} n={:<3} max recovery {:.1}s",
+        txt += &format!(
+            "  {:<18} n={:<3} max recovery {:.1}s\n",
             name,
             n,
             *max_us as f64 / 1e6
         );
     }
-    println!();
+    txt.push('\n');
 
     // §3.8 alerting: the AlertEngine ran over virtual time during both
     // runs. The baseline fired nothing (asserted above); here the chaos
     // run must detect every injected class.
-    println!("alert engine (baseline run): 0 transitions — zero false positives");
-    println!("time-to-detection (first raise after injection, virtual time):");
+    txt += "alert engine (baseline run): 0 transitions — zero false positives\n";
+    txt += "time-to-detection (first raise after injection, virtual time):\n";
     let mut missed = 0;
     for (class, rule, injected_us, detected) in &ttd {
         match detected {
-            Some(at) => println!(
-                "  {:<12} rule {:<16} injected day {:<5.2} detected +{:.1}s",
-                class,
-                rule,
-                *injected_us as f64 / 86.4e9,
-                (at - injected_us) as f64 / 1e6
-            ),
+            Some(at) => {
+                txt += &format!(
+                    "  {:<12} rule {:<16} injected day {:<5.2} detected +{:.1}s\n",
+                    class,
+                    rule,
+                    *injected_us as f64 / 86.4e9,
+                    (at - injected_us) as f64 / 1e6
+                )
+            }
             None => {
                 missed += 1;
-                println!("  {class:<12} rule {rule:<16} NEVER DETECTED");
+                txt += &format!("  {class:<12} rule {rule:<16} NEVER DETECTED\n");
             }
         }
     }
-    println!(
-        "alert transitions over the chaos month: {} ({} raises)",
+    txt += &format!(
+        "alert transitions over the chaos month: {} ({} raises)\n",
         out.alerts.len(),
         out.alerts.iter().filter(|e| e.raised).count()
     );
     assert_eq!(missed, 0, "every injected fault class must be detected");
-    Ok(())
+    vec![txt, alerts_txt, alerts_json]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn injection_hours_come_from_the_campaign_and_cover_every_class() {
+        let hours: Vec<Option<u64>> = FAULT_CLASS_RULES
+            .iter()
+            .map(|(class, _, _)| injection_hour(&campaign(), class))
+            .collect();
+        assert_eq!(hours, [Some(186), Some(330), Some(480), Some(600)]);
+    }
 }

@@ -1,12 +1,12 @@
-//! Shared experiment plumbing: argument parsing and the standard run.
+//! Shared experiment plumbing: argument parsing, the standard config and
+//! result files.
 
-use netsession_hybrid::{HybridSim, ScenarioConfig, SimOutput};
-use netsession_obs::{MetricsRegistry, TraceSink};
+use netsession_hybrid::ScenarioConfig;
 use netsession_world::population::PopulationConfig;
 use netsession_world::workload::WorkloadConfig;
 
-/// Command-line knobs shared by every experiment binary.
-#[derive(Clone, Debug)]
+/// The scale and seed of one standard scenario.
+#[derive(Clone, Copy, Debug)]
 pub struct ExperimentArgs {
     /// Peer population size.
     pub peers: usize,
@@ -16,12 +16,46 @@ pub struct ExperimentArgs {
     pub seed: u64,
 }
 
+impl ExperimentArgs {
+    /// The committed scale of the figures, tables and the chaos campaign.
+    pub const FIGURES: ExperimentArgs = ExperimentArgs {
+        peers: 30_000,
+        downloads: 40_000,
+        seed: 20121001,
+    };
+    /// The committed scale of the ablations A1–A6 (up to five months each).
+    pub const ABLATIONS: ExperimentArgs = ExperimentArgs {
+        peers: 12_000,
+        downloads: 15_000,
+        ..Self::FIGURES
+    };
+}
+
 impl Default for ExperimentArgs {
     fn default() -> Self {
+        Self::FIGURES
+    }
+}
+
+/// `--scale`, `--downloads` and `--seed` as given on the command line; an
+/// absent flag leaves an experiment's committed value in place.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Overrides {
+    /// `--scale <peers>`.
+    pub peers: Option<usize>,
+    /// `--downloads <n>`.
+    pub downloads: Option<usize>,
+    /// `--seed <s>`.
+    pub seed: Option<u64>,
+}
+
+impl Overrides {
+    /// `committed` with every given flag applied.
+    pub fn over(&self, committed: ExperimentArgs) -> ExperimentArgs {
         ExperimentArgs {
-            peers: 30_000,
-            downloads: 40_000,
-            seed: 20121001,
+            peers: self.peers.unwrap_or(committed.peers),
+            downloads: self.downloads.unwrap_or(committed.downloads),
+            seed: self.seed.unwrap_or(committed.seed),
         }
     }
 }
@@ -29,47 +63,25 @@ impl Default for ExperimentArgs {
 /// Parse `--scale <peers>`, `--downloads <n>`, `--seed <s>` and positional
 /// experiment names (in any order) from the arguments after the program
 /// name.
-pub fn parse_args_from(argv: &[String]) -> Result<(ExperimentArgs, Vec<String>), String> {
+pub fn parse_args_from(argv: &[String]) -> Result<(Overrides, Vec<String>), String> {
     fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
         let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
         v.parse()
             .map_err(|_| format!("{flag}: {v:?} is not a number"))
     }
-    let mut args = ExperimentArgs::default();
+    let mut flags = Overrides::default();
     let mut names = Vec::new();
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => args.peers = value(a, it.next())?,
-            "--downloads" => args.downloads = value(a, it.next())?,
-            "--seed" => args.seed = value(a, it.next())?,
+            "--scale" => flags.peers = Some(value(a, it.next())?),
+            "--downloads" => flags.downloads = Some(value(a, it.next())?),
+            "--seed" => flags.seed = Some(value(a, it.next())?),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
             _ => names.push(a.clone()),
         }
     }
-    Ok((args, names))
-}
-
-/// Print `msg` and the shared usage line (plus the binary's positional
-/// `names` grammar, if it takes any) to stderr and exit 2.
-pub fn usage_exit(bin: &str, names: &str, msg: &str) -> ! {
-    eprintln!("{bin}: {msg}");
-    eprintln!("usage: {bin} [--scale <peers>] [--downloads <n>] [--seed <s>]{names}");
-    std::process::exit(2)
-}
-
-/// This process's arguments for a binary that takes the shared flags and
-/// no positional names, announced on stderr; anything else exits 2 with
-/// the usage line.
-pub fn parse_flags_or_exit(bin: &str) -> ExperimentArgs {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args_from(&argv) {
-        Ok((args, names)) if names.is_empty() => args,
-        Ok((_, names)) => usage_exit(bin, "", &format!("unexpected argument {}", names[0])),
-        Err(e) => usage_exit(bin, "", &e),
-    };
-    eprintln!("# {bin}: peers={} downloads={}", args.peers, args.downloads);
-    args
+    Ok((flags, names))
 }
 
 /// Build the standard scenario config for experiment args.
@@ -88,11 +100,6 @@ pub fn config_for(args: &ExperimentArgs) -> ScenarioConfig {
         },
         ..ScenarioConfig::default()
     }
-}
-
-/// Run the standard scenario.
-pub fn run_default(args: &ExperimentArgs) -> SimOutput {
-    HybridSim::run_config(config_for(args))
 }
 
 /// Render a fraction as a percent string.
@@ -136,33 +143,20 @@ pub fn peak_rss_kb() -> Option<u64> {
         .and_then(|v| v.parse().ok())
 }
 
-/// Write a run's telemetry pair: `results/<name>.metrics.json` (the full
-/// snapshot, volatile wall-clock section included) and
-/// `results/<name>.trace.json` (the sampled download traces as Chrome
-/// trace-event JSON for Perfetto and `trace_explain`; deterministic — same
-/// seed, same bytes).
-pub fn write_sidecars(
-    name: &str,
-    metrics: &MetricsRegistry,
-    trace: &TraceSink,
-) -> std::io::Result<()> {
-    write_result(
-        name,
-        "metrics.json",
-        metrics.full_snapshot_json().as_bytes(),
-    )?;
-    write_result(name, "trace.json", trace.export_chrome_json().as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_args_are_standard_scale() {
+    fn default_args_are_figure_scale_and_flags_override_per_field() {
         let a = ExperimentArgs::default();
-        assert_eq!(a.peers, 30_000);
-        assert_eq!(a.downloads, 40_000);
+        assert_eq!((a.peers, a.downloads), (30_000, 40_000));
+        let flags = Overrides {
+            downloads: Some(9),
+            ..Overrides::default()
+        };
+        let a = flags.over(ExperimentArgs::ABLATIONS);
+        assert_eq!((a.peers, a.downloads, a.seed), (12_000, 9, 20121001));
     }
 
     #[test]
@@ -189,11 +183,15 @@ mod tests {
             "fig5 --scale 2000 table4 --seed 7 --downloads 3000 fig2",
         ))
         .unwrap();
-        assert_eq!((a.peers, a.downloads, a.seed), (2_000, 3_000, 7));
+        assert_eq!(
+            (a.peers, a.downloads, a.seed),
+            (Some(2_000), Some(3_000), Some(7))
+        );
         assert_eq!(names, ["fig5", "table4", "fig2"]);
-        let (a, names) = parse_args_from(&[]).unwrap();
-        assert_eq!(a.seed, ExperimentArgs::default().seed);
-        assert!(names.is_empty());
+        assert_eq!(
+            parse_args_from(&[]).unwrap(),
+            (Overrides::default(), vec![])
+        );
     }
 
     #[test]

@@ -21,15 +21,12 @@
 //! * [`governor`] — the upload governor: the global upload-connection
 //!   limit, the upstream rate fraction, idle-link backoff, and per-object
 //!   upload caps (§3.9).
-//! * [`streaming`] — the video-streaming delivery mode (§3.4): in-order
-//!   windowed piece selection with startup and rebuffering accounting.
 
 pub mod cache;
 pub mod dlm;
 pub mod governor;
 pub mod picker;
 pub mod prefs;
-pub mod streaming;
 pub mod swarm;
 
 pub use cache::ObjectCache;
@@ -37,5 +34,4 @@ pub use dlm::{Download, DownloadManager, DownloadPhase};
 pub use governor::UploadGovernor;
 pub use picker::PiecePicker;
 pub use prefs::Preferences;
-pub use streaming::{PlaybackState, StreamBuffer};
 pub use swarm::SwarmSession;

@@ -4,16 +4,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo fmt --check"
+# Announce a stage, after the wall seconds of the one it ends.
+stage() {
+    [ -z "${stage_name:-}" ] || echo "   ($((SECONDS - stage_started)) s)"
+    stage_name="$1"
+    stage_started=$SECONDS
+    [ -z "$1" ] || echo "== $1"
+}
+
+stage "cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy --workspace -- -D warnings"
+stage "cargo clippy --workspace -- -D warnings"
 cargo clippy -q --workspace --all-targets -- -D warnings
 
-echo "== cargo test --workspace"
+stage "cargo test --workspace"
 cargo test -q --workspace
 
-echo "== trace determinism (same seed => byte-identical export)"
+stage "trace determinism (same seed => byte-identical export)"
 cargo build -q --release -p netsession-bench --bin paper
 bin="$PWD/target/release/paper"
 tmp="$(mktemp -d)"
@@ -23,31 +31,22 @@ trap 'rm -rf "$tmp"' EXIT
 cmp "$tmp/run1.txt" "$tmp/run2.txt"
 cmp "$tmp/trace1.json" "$tmp/trace2.json"
 
-echo "== results reproduction (one default-scale run => all 20 committed paper artifacts)"
-# The committed results/*.txt are the oracle that licenses refactoring:
-# one simulated month must re-render every table and figure byte for
-# byte, and its trace export must equal the committed one (the table test
-# in crates/bench/tests/paper_table.rs pins table == committed file set).
+stage "results reproduction (one paper run => every committed per-flow artifact)"
+# The committed results/ files are the oracle that licenses refactoring:
+# one `paper` run (17 simulated months, each entry at its committed scale)
+# must re-render every table, figure, the chaos campaign and the six
+# ablations byte for byte, and both trace exports and the alert log must
+# equal the committed ones (the table test in
+# crates/bench/tests/paper_table.rs pins table == committed file set).
+# `paper`'s standard month is fault-free, so the chaos entry is what
+# executes the loop's Fault / Readmit / ReAdd / EdgeRecover handlers.
 # Runs in $tmp so the check never rewrites the files it compares against.
 (cd "$tmp" && "$bin" >/dev/null 2>&1)
-for f in "$tmp"/results/*.txt; do
+for f in "$tmp"/results/*.txt "$tmp"/results/*.trace.json "$tmp"/results/alerts.json; do
     cmp "$f" "results/$(basename "$f")"
 done
-cmp "$tmp/results/paper.trace.json" results/paper.trace.json
 
-echo "== chaos reproduction (default-scale campaign => committed chaos.txt, trace, alerts)"
-# `paper` runs fault-free, so its gate never executes the loop's Fault /
-# Readmit / ReAdd / EdgeRecover handlers; the committed chaos campaign is
-# their oracle. Equality with committed bytes subsumes a same-seed double run.
-cargo build -q --release -p netsession-bench --bin chaos
-chaos_bin="$PWD/target/release/chaos"
-(cd "$tmp" && "$chaos_bin" >chaos.txt 2>/dev/null)
-cmp "$tmp/chaos.txt" results/chaos.txt
-for f in chaos.trace.json alerts.txt alerts.json; do
-    cmp "$tmp/results/$f" "results/$f"
-done
-
-echo "== alert coverage (every hybrid.fault.* counter ruled or allowlisted)"
+stage "alert coverage (every hybrid.fault.* counter ruled or allowlisted)"
 counters="$(grep -rhoE 'hybrid\.fault\.[a-z_]+' crates/hybrid/src --include='*.rs' --exclude=alerts.rs | sort -u)"
 missing=""
 for c in $counters; do
@@ -58,7 +57,7 @@ if [ -n "$missing" ]; then
     exit 1
 fi
 
-echo "== shard determinism (2-shard parallel == sequential oracle, smoke scale)"
+stage "shard determinism (2-shard parallel == sequential oracle, smoke scale)"
 # The sharded million-peer runner must be an optimization, not an
 # approximation: stdout (merged report, per-region SHA-256 stream digests,
 # alerts, tallies, and the shard profiler's load-imbalance report) is
@@ -73,7 +72,7 @@ scale_bin="$PWD/target/release/scale"
 cmp "$tmp/scale_seq.txt" "$tmp/scale_par1.txt"
 cmp "$tmp/scale_par1.txt" "$tmp/scale_par2.txt"
 
-echo "== shard-profile determinism (deterministic telemetry stream byte-diffed)"
+stage "shard-profile determinism (deterministic telemetry stream byte-diffed)"
 # The profiler's deterministic channel — per-window per-shard events,
 # barrier queue depth, mail matrix, and the SHA-256 stream fingerprint —
 # must be byte-identical across execution modes and repeat runs. Volatile
@@ -90,7 +89,7 @@ if [ -e results/scale.profile.json ]; then
     grep -q '"threads":' results/scale.profile.json
 fi
 
-echo "== sub-region shard determinism (16 sub-shards > 9 regions, smoke scale)"
+stage "sub-region shard determinism (16 sub-shards > 9 regions, smoke scale)"
 # Shard keys are contiguous sub-region blocks, so K may exceed the nine
 # regions. Gate the interesting side of that boundary: at K=16 every
 # populous region is split across shards, and the parallel run must still
@@ -99,7 +98,7 @@ echo "== sub-region shard determinism (16 sub-shards > 9 regions, smoke scale)"
 (cd "$tmp" && "$scale_bin" --smoke --shards 16 --parallel >scale16_par.txt 2>/dev/null)
 cmp "$tmp/scale16_seq.txt" "$tmp/scale16_par.txt"
 
-echo "== timeseries determinism (chaos smoke: seq vs par sidecar byte-diff + lint)"
+stage "timeseries determinism (chaos smoke: seq vs par sidecar byte-diff + lint)"
 # The merged windowed-telemetry sidecar is a deterministic artifact: under
 # the full fault campaign at smoke scale, the sequential oracle and the
 # threaded run must print byte-identical stdout and write byte-identical
@@ -115,7 +114,7 @@ if [ -e results/scale.timeseries.json ]; then
     "$scale_bin" --lint-timeseries results/scale.timeseries.json
 fi
 
-echo "== bench snapshot lint (perfbench --check)"
+stage "bench snapshot lint (perfbench --check)"
 # Parses results/bench/BENCH_*.json against the family table in
 # crates/bench/src/trend.rs (schema + required fields per issue). Re-measures
 # nothing: wheel == heap is crates/hybrid/tests/queue_oracle.rs.
@@ -132,12 +131,12 @@ if [ -z "$found_bench" ]; then
     exit 1
 fi
 
-echo "== perf trajectory (perfbench --trend: every snapshot parses, BENCH_15 present)"
+stage "perf trajectory (perfbench --trend: every snapshot parses, BENCH_15 present)"
 # Cross-PR table from every committed BENCH_*.json; fails when this PR's
 # snapshot is missing or lacks the families its issue is required to carry.
 "$perfbench_bin" --trend --require 15
 
-echo "== committed trace exports stay under 1 MiB"
+stage "committed trace exports stay under 1 MiB"
 oversize="$(find results -name '*.trace.json' -size +1M 2>/dev/null || true)"
 if [ -n "$oversize" ]; then
     echo "trace export(s) exceed the 1 MiB budget:" >&2
@@ -145,4 +144,5 @@ if [ -n "$oversize" ]; then
     exit 1
 fi
 
-echo "All checks passed."
+stage ""
+echo "All checks passed in $SECONDS s."
