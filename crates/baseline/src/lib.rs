@@ -1,18 +1,14 @@
 //! # netsession-baseline
 //!
-//! The two architectures NetSession is compared against (§2.1):
-//!
-//! * [`infra`] — a pure **infrastructure CDN**: every byte comes from amply
-//!   provisioned edge servers; download speed is the client's downlink.
-//! * [`bittorrent`] — a pure **peer-to-peer CDN** in the BitTorrent mold:
-//!   tracker-coordinated swarms, rarest-first piece exchange, and the
-//!   tit-for-tat choking incentive NetSession deliberately omits (§3.4).
-//!   A round-based swarm simulator demonstrates the classic behaviours the
-//!   paper contrasts against: free-riders get choked, availability dies
-//!   with the seeds, and short client sessions shrink upload opportunity.
+//! The pure **peer-to-peer CDN** NetSession is compared against (§2.1), in
+//! the BitTorrent mold ([`bittorrent`]): tracker-coordinated swarms,
+//! rarest-first piece exchange, and the tit-for-tat choking incentive
+//! NetSession deliberately omits (§3.4). A round-based swarm simulator
+//! demonstrates the classic behaviours the paper contrasts against:
+//! free-riders get choked, availability dies with the seeds, and short
+//! client sessions shrink upload opportunity. The other comparison point,
+//! a pure infrastructure CDN, needs no model: every byte is origin traffic.
 
 pub mod bittorrent;
-pub mod infra;
 
 pub use bittorrent::{Swarm, SwarmConfig, SwarmResult};
-pub use infra::InfraCdn;

@@ -39,23 +39,22 @@
 //! ```text
 //! perfbench                          full campaign, writes results/bench/BENCH_15.json
 //! perfbench --smoke [--out PATH]     seconds-scale run (CI), writes PATH or stdout
-//! perfbench --check COMMITTED.json   schema lint of a committed snapshot (the
-//!                                    family table in `netsession_bench::trend`)
 //! perfbench --trend [--require N]    cross-PR trajectory table from every
-//!                                    results/bench/BENCH_*.json; fails if the
-//!                                    snapshot for issue N is missing or stale
+//!                                    results/bench/BENCH_*.json, each linted
+//!                                    against the family table in
+//!                                    `netsession_bench::trend`; fails if one
+//!                                    breaks it or BENCH_N.json is missing
 //! perfbench --baseline-ms N          record an externally measured seed-commit
 //!                                    headline wall time for the speedup field
 //! ```
 //!
 //! Wall-clock numbers are machine-dependent and land in a JSON that is
 //! *not* byte-stable — which is why they live under `results/bench/` and
-//! not next to the deterministic experiment outputs. `--check` therefore
-//! re-measures nothing: it lints what a committed snapshot claims (wheel ≡
-//! heap is a test, `crates/hybrid/tests/queue_oracle.rs`).
+//! not next to the deterministic experiment outputs. `--trend` therefore
+//! re-measures nothing: it lints what the committed snapshots claim (wheel
+//! ≡ heap is a test, `crates/hybrid/tests/queue_oracle.rs`).
 
 use netsession_bench::runner::{config_for, peak_rss_kb, ExperimentArgs};
-use netsession_bench::trend::lint_families;
 use netsession_core::fxhash::{FxBuildHasher, FxHasher};
 use netsession_core::hash::{self, sha256, Sha256};
 use netsession_core::rng::DetRng;
@@ -66,7 +65,7 @@ use netsession_hybrid::{
     run_scaled, run_scaled_profiled, HybridSim, ScaledConfig, Scenario, ScenarioConfig, SimOutput,
 };
 use netsession_logs::geodb::{EdgeScapeDb, GeoInfo, GeoInfoRef};
-use netsession_obs::json::{parse, push_str_literal, JsonValue};
+use netsession_obs::json::push_str_literal;
 use netsession_obs::profile::ShardProfiler;
 use netsession_obs::MetricsRegistry;
 use netsession_sim::flownet::FlowNet;
@@ -862,78 +861,11 @@ fn run_campaign(c: &Campaign) -> String {
     j.finish()
 }
 
-// ---------------------------------------------------------------------------
-// --check: schema lint of a committed snapshot
-
-fn get_num(v: &JsonValue, path: &[&str]) -> Option<f64> {
-    let mut cur = v;
-    for k in path {
-        cur = cur.get(k)?;
-    }
-    cur.as_f64()
-}
-
-fn check(committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("{committed_path}: {e}"))?;
-
-    // Schema lint: the keys every consumer of BENCH_*.json relies on.
-    match doc.get("schema") {
-        Some(JsonValue::Str(s)) if s == "netsession-perfbench/1" => {}
-        other => return Err(format!("schema field missing or wrong: {other:?}")),
-    }
-    let issue = get_num(&doc, &["issue"]).unwrap_or(0.0);
-    lint_families(&doc, issue as u64)?;
-    for path in [&["headline", "wall_ms"], &["headline", "events_per_sec"]] {
-        if get_num(&doc, path).is_none() {
-            return Err(format!("required number {} missing", path.join(".")));
-        }
-    }
-    // The scale family's context fields (`cpus`, `shard_regions`) joined
-    // in issue 8; older snapshots stay lintable without them.
-    if issue >= 8.0 {
-        if get_num(&doc, &["families", "scale", "cpus"]).is_none() {
-            return Err("families.scale.cpus missing (required from issue 8 on)".into());
-        }
-        match doc
-            .get("families")
-            .and_then(|f| f.get("scale"))
-            .and_then(|s| s.get("shard_regions"))
-        {
-            Some(JsonValue::Str(_)) => {}
-            other => {
-                return Err(format!(
-                    "families.scale.shard_regions missing or not a string: {other:?}"
-                ))
-            }
-        }
-    }
-    // Issue 13 gave the runner a persistent pool: from then on the threaded
-    // run may not lose to its own oracle (with one core it *is* the oracle,
-    // so only noise separates them).
-    if issue >= 13.0 {
-        let cpus = get_num(&doc, &["families", "scale", "cpus"]).unwrap_or(0.0);
-        let floor = if cpus >= 2.0 { 1.0 } else { 0.95 };
-        // (Present: the family table requires it of every scale family.)
-        let speedup = get_num(&doc, &["families", "scale", "parallel_speedup"]).unwrap_or(0.0);
-        if speedup < floor {
-            return Err(format!(
-                "families.scale.parallel_speedup {speedup:.2} < {floor} on {cpus} cpus: \
-                 the parallel runner must not lose to the sequential oracle"
-            ));
-        }
-    }
-    eprintln!("# schema lint OK ({committed_path})");
-    Ok(())
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     let mut smoke = false;
     let mut trend = false;
     let mut require_issue: Option<u64> = None;
-    let mut check_path: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut baseline_ms: Option<f64> = None;
     let mut current_ms: Option<f64> = None;
@@ -944,10 +876,6 @@ fn main() {
             "--smoke" => {
                 smoke = true;
                 i += 1;
-            }
-            "--check" => {
-                check_path = Some(argv.get(i + 1).expect("--check <BENCH.json>").clone());
-                i += 2;
             }
             "--trend" => {
                 trend = true;
@@ -1003,17 +931,6 @@ fn main() {
             Ok(table) => print!("{table}"),
             Err(e) => {
                 eprintln!("perfbench trend: FAIL: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if let Some(path) = check_path {
-        match check(&path) {
-            Ok(()) => println!("perfbench check: PASS"),
-            Err(e) => {
-                eprintln!("perfbench check: FAIL: {e}");
                 std::process::exit(1);
             }
         }

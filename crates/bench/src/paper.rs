@@ -230,9 +230,6 @@ pub struct PlannedRun {
     pub config: ScenarioConfig,
     /// Stem its telemetry pair is written under, if any reader commits it.
     pub sidecars: Option<&'static str>,
-    /// `config`'s `Debug` text: `ScenarioConfig` has no `PartialEq`, and
-    /// every field prints exactly.
-    key: String,
     /// Reads of it still to come.
     reads: usize,
     /// Its output, once simulated and while `reads` is not zero.
@@ -257,17 +254,18 @@ pub fn plan(selected: &[&'static Experiment], flags: &Overrides) -> Plan {
         let reads = exp.runs.iter().map(|run| {
             let mut config = standard.clone();
             (run.delta)(&mut config);
-            let key = format!("{config:?}");
-            let i = runs.iter().position(|r| r.key == key).unwrap_or_else(|| {
-                runs.push(PlannedRun {
-                    config,
-                    sidecars: None,
-                    key,
-                    reads: 0,
-                    held: None,
+            let i = runs
+                .iter()
+                .position(|r| r.config == config)
+                .unwrap_or_else(|| {
+                    runs.push(PlannedRun {
+                        config,
+                        sidecars: None,
+                        reads: 0,
+                        held: None,
+                    });
+                    runs.len() - 1
                 });
-                runs.len() - 1
-            });
             runs[i].sidecars = runs[i].sidecars.or(run.sidecars);
             runs[i].reads += 1;
             i

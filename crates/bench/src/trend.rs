@@ -1,8 +1,9 @@
 //! Cross-PR performance trajectory: fold every committed
 //! `results/bench/BENCH_<issue>.json` snapshot into one table so a perf
 //! regression shows up as a *trend break*, not a single-run blip. Used by
-//! `perfbench --trend` and linted in `scripts/check.sh` (a missing or
-//! stale snapshot for the current issue fails the gate).
+//! `perfbench --trend`, which is also the gate's lint of every committed
+//! snapshot in `scripts/check.sh` (a missing required snapshot, or one
+//! that breaks the schema, fails the gate).
 //!
 //! Families appear as they were introduced: the event-queue macro speedup
 //! exists from the first snapshot, the scaled-runner family from issue 7,
@@ -34,15 +35,21 @@ pub struct TrendRow {
     pub ts_overhead_pct: Option<f64>,
 }
 
-fn family_num(doc: &JsonValue, family: &str, key: &str) -> Option<f64> {
-    doc.get("families")?.get(family)?.get(key)?.as_f64()
+/// The value at a dotted `path` (`families.scale.cpus`) of a snapshot.
+fn at<'a>(doc: &'a JsonValue, path: &str) -> Option<&'a JsonValue> {
+    path.split('.').try_fold(doc, |v, key| v.get(key))
 }
 
-/// Fields of one `families.<name>` block of the snapshot schema. A family
-/// whose fields arrived in different issues has one row per arrival.
+fn num(doc: &JsonValue, path: &str) -> Option<f64> {
+    at(doc, path)?.as_f64()
+}
+
+/// Fields of one block of the snapshot schema. A block whose fields
+/// arrived in different snapshots has one row per arrival.
 pub struct Family {
-    /// Key under `families`.
-    pub name: &'static str,
+    /// Dotted path of the block: `families.<name>`, or `headline` for the
+    /// macro run every snapshot reports.
+    pub block: &'static str,
     /// Issue whose snapshot first carried these fields; older snapshots are
     /// immutable history and stay lintable without them.
     pub since: u64,
@@ -55,18 +62,25 @@ pub struct Family {
     pub flag: Option<&'static str>,
 }
 
-/// The snapshot schema, family by family: the one table both `perfbench
-/// --check` and `--trend` ([`parse_snapshot`]) lint a snapshot against.
-pub const FAMILIES: [Family; 8] = [
+/// The snapshot schema, block by block: the table `perfbench --trend`
+/// ([`parse_snapshot`]) lints a snapshot against.
+pub const FAMILIES: [Family; 10] = [
     Family {
-        name: "event_queue",
+        block: "headline",
+        since: 0,
+        nums: &["wall_ms", "events_per_sec"],
+        text: &[],
+        flag: None,
+    },
+    Family {
+        block: "families.event_queue",
         since: 0,
         nums: &["macro_speedup"],
         text: &[],
         flag: None,
     },
     Family {
-        name: "hashing",
+        block: "families.hashing",
         since: 0,
         nums: &["hash_speedup"],
         text: &[],
@@ -76,28 +90,28 @@ pub const FAMILIES: [Family; 8] = [
     // that produced it: a `scalar` snapshot is a CPU without the SHA
     // extensions, not a regression against a `sha-ni` one.
     Family {
-        name: "hashing",
+        block: "families.hashing",
         since: 15,
         nums: &["sha256_64k_mb_s", "sha256_64b_mb_s"],
         text: &["sha256_kernel"],
         flag: None,
     },
     Family {
-        name: "alloc_churn",
+        block: "families.alloc_churn",
         since: 0,
         nums: &["flownet_recompute_allocs_per_op"],
         text: &[],
         flag: None,
     },
     Family {
-        name: "obs",
+        block: "families.obs",
         since: 0,
         nums: &["tracing_overhead_pct"],
         text: &[],
         flag: None,
     },
     Family {
-        name: "scale",
+        block: "families.scale",
         since: 7,
         nums: &[
             "peers",
@@ -111,8 +125,17 @@ pub const FAMILIES: [Family; 8] = [
         text: &[],
         flag: Some("outputs_identical"),
     },
+    // The context a speedup cannot be read without: how many cores ran it,
+    // and which regions each shard carried.
     Family {
-        name: "shard_profile",
+        block: "families.scale",
+        since: 8,
+        nums: &["cpus"],
+        text: &["shard_regions"],
+        flag: None,
+    },
+    Family {
+        block: "families.shard_profile",
         since: 8,
         nums: &[
             "shards",
@@ -127,7 +150,7 @@ pub const FAMILIES: [Family; 8] = [
         flag: Some("det_stream_identical"),
     },
     Family {
-        name: "timeseries",
+        block: "families.timeseries",
         since: 10,
         nums: &[
             "windows",
@@ -145,27 +168,41 @@ pub const FAMILIES: [Family; 8] = [
 /// that existed by then is present and complete.
 pub fn lint_families(doc: &JsonValue, issue: u64) -> Result<(), String> {
     for fam in FAMILIES.iter().filter(|fam| issue >= fam.since) {
-        let name = fam.name;
-        let Some(block) = doc.get("families").and_then(|f| f.get(name)) else {
+        let name = fam.block;
+        let Some(block) = at(doc, name) else {
             return Err(format!(
-                "families.{name} missing (required from issue {} on)",
+                "{name} missing (required from BENCH_{} on)",
                 fam.since
             ));
         };
         for key in fam.nums.iter().chain(&fam.flag) {
-            if family_num(doc, name, key).is_none() {
-                return Err(format!("required number families.{name}.{key} missing"));
+            if block.get(key).and_then(|v| v.as_f64()).is_none() {
+                return Err(format!("required number {name}.{key} missing"));
             }
         }
         for key in fam.text {
             if block.get(key).and_then(|v| v.as_str()).is_none() {
-                return Err(format!("required string families.{name}.{key} missing"));
+                return Err(format!("required string {name}.{key} missing"));
             }
         }
         if let Some(flag) = fam.flag {
-            if family_num(doc, name, flag) != Some(1.0) {
-                return Err(format!("families.{name}.{flag} must be 1"));
+            if block.get(flag).and_then(|v| v.as_f64()) != Some(1.0) {
+                return Err(format!("{name}.{flag} must be 1"));
             }
+        }
+    }
+    // Snapshots from 13 on measure the persistent-pool runner, whose
+    // threaded run may not lose to its own oracle (with one core it *is*
+    // the oracle, so only noise separates them). Both fields are rows above.
+    if issue >= 13 {
+        let cpus = num(doc, "families.scale.cpus").unwrap_or(0.0);
+        let floor = if cpus >= 2.0 { 1.0 } else { 0.95 };
+        let speedup = num(doc, "families.scale.parallel_speedup").unwrap_or(0.0);
+        if speedup < floor {
+            return Err(format!(
+                "families.scale.parallel_speedup {speedup:.2} < {floor} on {cpus} cpus: \
+                 the parallel runner must not lose to the sequential oracle"
+            ));
         }
     }
     Ok(())
@@ -187,13 +224,13 @@ pub fn parse_snapshot(text: &str) -> Result<TrendRow, String> {
     lint_families(&doc, issue)?;
     Ok(TrendRow {
         issue,
-        macro_speedup: family_num(&doc, "event_queue", "macro_speedup"),
-        scale_wall_ms: family_num(&doc, "scale", "par_wall_ms"),
-        scale_rss_kb: family_num(&doc, "scale", "peak_rss_kb"),
-        scale_speedup: family_num(&doc, "scale", "parallel_speedup"),
-        skew: family_num(&doc, "shard_profile", "skew"),
-        ceiling: family_num(&doc, "shard_profile", "speedup_ceiling"),
-        ts_overhead_pct: family_num(&doc, "timeseries", "overhead_pct"),
+        macro_speedup: num(&doc, "families.event_queue.macro_speedup"),
+        scale_wall_ms: num(&doc, "families.scale.par_wall_ms"),
+        scale_rss_kb: num(&doc, "families.scale.peak_rss_kb"),
+        scale_speedup: num(&doc, "families.scale.parallel_speedup"),
+        skew: num(&doc, "families.shard_profile.skew"),
+        ceiling: num(&doc, "families.shard_profile.speedup_ceiling"),
+        ts_overhead_pct: num(&doc, "families.timeseries.overhead_pct"),
     })
 }
 
@@ -295,6 +332,7 @@ mod tests {
         let base_snapshot = |issue: u64| {
             format!(
                 "{{\"schema\": \"netsession-perfbench/1\", \"issue\": {issue}, \
+                 \"headline\": {{\"wall_ms\": 3983, \"events_per_sec\": 230501}}, \
                  \"families\": {{\"event_queue\": {{\"macro_speedup\": 1.25}}, \
                  \"hashing\": {{\"hash_speedup\": 2}}, \
                  \"alloc_churn\": {{\"flownet_recompute_allocs_per_op\": 0}}, \
@@ -311,19 +349,46 @@ mod tests {
         assert!(err.contains("families.scale missing"), "{err}");
     }
 
-    #[test]
-    fn sha256_throughput_must_name_its_kernel_from_issue_15_on() {
+    fn bench_15() -> String {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../results/bench/BENCH_15.json"
         );
-        let text = std::fs::read_to_string(path).expect("committed snapshot");
-        parse_snapshot(&text).expect("BENCH_15 carries the sha256 fields");
-        for field in ["sha256_64k_mb_s", "sha256_kernel"] {
-            let without = text.replace(field, "renamed");
-            let err = parse_snapshot(&without).unwrap_err();
-            assert!(err.contains(&format!("families.hashing.{field}")), "{err}");
+        std::fs::read_to_string(path).expect("committed snapshot")
+    }
+
+    /// Renaming any field BENCH_15 must carry fails the lint, naming the
+    /// field.
+    #[test]
+    fn bench_15_fails_the_lint_naming_each_renamed_required_field() {
+        let text = bench_15();
+        parse_snapshot(&text).expect("BENCH_15 carries every required field");
+        for (field, path) in [
+            ("sha256_64k_mb_s", "families.hashing.sha256_64k_mb_s"),
+            ("sha256_kernel", "families.hashing.sha256_kernel"),
+            ("wall_ms", "headline.wall_ms"),
+            ("events_per_sec", "headline.events_per_sec"),
+            ("cpus", "families.scale.cpus"),
+            ("shard_regions", "families.scale.shard_regions"),
+        ] {
+            let renamed = text.replace(&format!("\"{field}\""), "\"renamed\"");
+            let err = parse_snapshot(&renamed).unwrap_err();
+            assert!(err.contains(path), "{err}");
         }
+    }
+
+    #[test]
+    fn parallel_runner_may_not_lose_to_its_oracle() {
+        let text = bench_15();
+        let speedup = |s: &str| text.replace("\"parallel_speedup\": 1.603", s);
+        let err = parse_snapshot(&speedup("\"parallel_speedup\": 0.99")).unwrap_err();
+        assert!(
+            err.contains("families.scale.parallel_speedup 0.99 < 1"),
+            "{err}"
+        );
+        // One core runs the oracle's own work: only noise separates them.
+        let one_cpu = speedup("\"parallel_speedup\": 0.96").replace("\"cpus\": 2", "\"cpus\": 1");
+        parse_snapshot(&one_cpu).expect("0.96 clears the one-core floor");
     }
 
     #[test]

@@ -76,8 +76,8 @@ fn unknown_name_is_an_error_listing_the_table() {
 
 #[test]
 fn equal_configs_are_planned_as_one_month() {
-    // 17 also pins the month key: months one field apart (A4's list sizes,
-    // A5's fractions) are never merged.
+    // 17 also pins month identity: months one field apart (A4's list
+    // sizes, A5's fractions) are never merged.
     assert_eq!(months(""), 17);
     assert_eq!(months("fig5"), 1);
     assert_eq!(months("fig5 table4 mobility"), 1);

@@ -1,11 +1,10 @@
 //! In-repo SHA-256.
 //!
 //! NetSession's edge servers "generate and maintain secure IDs of content …
-//! as well as secure hashes of the pieces of each file" (§3.5), and the
-//! paper's trace "ha\[s\] been anonymized by hashing the file names, IP
-//! addresses, and GUIDs" (§4.1). Both uses are served by this module, so the
-//! workspace does not need an external crypto dependency. The implementation
-//! follows FIPS 180-4 and is validated against the standard test vectors.
+//! as well as secure hashes of the pieces of each file" (§3.5). This module
+//! serves that use, so the workspace does not need an external crypto
+//! dependency. The implementation follows FIPS 180-4 and is validated
+//! against the standard test vectors.
 
 use std::fmt;
 
@@ -22,8 +21,8 @@ impl Digest {
         Digest([0u8; 32])
     }
 
-    /// First eight bytes as a big-endian integer — used when a shorter
-    /// anonymized key is enough (e.g. hashed IPs grouped in a map).
+    /// First eight bytes as a big-endian integer — a short fingerprint
+    /// where the full digest is more than a reader needs.
     pub fn prefix_u64(&self) -> u64 {
         u64::from_be_bytes(self.0[..8].try_into().unwrap())
     }
@@ -227,16 +226,6 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// Anonymize an arbitrary string the way the paper's trace does (§4.1):
-/// a keyed hash so different data sets cannot be joined accidentally.
-pub fn anonymize(key: &str, value: &str) -> Digest {
-    let mut h = Sha256::new();
-    h.update(key.as_bytes());
-    h.update(&[0u8]);
-    h.update(value.as_bytes());
-    h.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,15 +361,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn anonymize_is_keyed() {
-        let a = anonymize("key1", "10.0.0.1");
-        let b = anonymize("key2", "10.0.0.1");
-        let c = anonymize("key1", "10.0.0.1");
-        assert_ne!(a, b);
-        assert_eq!(a, c);
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl Default for ObsConfig {
 }
 
 /// Everything one simulation run needs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioConfig {
     /// Master seed; every random stream derives from it.
     pub seed: u64,

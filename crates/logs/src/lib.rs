@@ -6,12 +6,7 @@
 //! flows — plus an EdgeScape-style geolocation database keyed by IP. The
 //! analytics crate consumes a [`TraceDataset`] exactly the way the paper's
 //! authors consumed their logs.
-//!
-//! "To protect the privacy of users and content providers, the data in our
-//! logs have been anonymized by hashing the file names, IP addresses, and
-//! GUIDs" — [`anonymize`] implements that step.
 
-pub mod anonymize;
 pub mod dataset;
 pub mod geodb;
 pub mod records;

@@ -1,11 +1,10 @@
 //! # netsession-net
 //!
 //! The live NetSession runtime: the same protocol logic the simulator
-//! exercises, running over real TCP and UDP sockets on plain threads. This is
+//! exercises, running over real TCP sockets on plain threads. This is
 //! the "it is an implementable network protocol" half of the reproduction:
 //! a control-plane server ([`control_server`]), an edge server
-//! ([`edge_server`]), a STUN-style reflexive-address service over UDP
-//! ([`stun_udp`]), and a full peer daemon ([`peer_daemon`]) that downloads
+//! ([`edge_server`]), and a full peer daemon ([`peer_daemon`]) that downloads
 //! from the edge and from other daemons *in parallel*, verifies every
 //! piece against the manifest, serves uploads under the governor rules,
 //! and registers completed objects with the control plane.
@@ -19,11 +18,9 @@ pub mod framing;
 pub mod http;
 pub mod monitor_server;
 pub mod peer_daemon;
-pub mod stun_udp;
 
 pub use control_server::ControlServer;
 pub use edge_server::EdgeHttpServer;
 pub use http::{http_get, AdminEndpoint, HttpResponse};
 pub use monitor_server::{default_rules, MonitorServer, MonitorTarget};
 pub use peer_daemon::{DownloadReport, PeerDaemon};
-pub use stun_udp::StunUdpServer;

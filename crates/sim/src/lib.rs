@@ -6,7 +6,7 @@
 //! The paper measures a production system with 25.9 M installations; we have
 //! no such deployment, so every macro-scale experiment runs on this
 //! simulator instead (see DESIGN.md, substitution table). The crate has
-//! three layers:
+//! two layers:
 //!
 //! * [`engine`] — a classic event-queue kernel: a simulated clock and a
 //!   timestamped event list with deterministic FIFO tie-breaking. Storage is
@@ -18,17 +18,13 @@
 //!   honouring per-flow rate ceilings (upload throttles). This is the
 //!   standard abstraction for CDN-scale simulation, where packet-level
 //!   detail is irrelevant but bandwidth sharing is everything.
-//! * [`latency`] — a simple geographic + AS-locality latency model used for
-//!   connection-setup delays and STUN round trips.
 
 pub mod engine;
 pub mod flownet;
-pub mod latency;
 pub mod queue;
 pub mod shard;
 
 pub use engine::{EventQueue, OracleEventQueue};
 pub use flownet::{FlowId, FlowNet, NodeId};
-pub use latency::LatencyModel;
 pub use queue::{BinaryHeapSched, EventSched, TimingWheel};
 pub use shard::{Outbox, ShardRunner, ShardStats, ShardWorker};

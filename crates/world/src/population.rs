@@ -92,7 +92,7 @@ impl PeerSpec {
 }
 
 /// Generation parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PopulationConfig {
     /// Number of peers to generate.
     pub peers: usize,

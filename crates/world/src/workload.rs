@@ -32,7 +32,7 @@ pub struct Request {
 }
 
 /// Workload parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadConfig {
     /// Total downloads to generate over the trace month.
     pub downloads: usize,

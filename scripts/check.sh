@@ -21,16 +21,6 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 stage "cargo test --workspace"
 cargo test -q --workspace
 
-stage "trace determinism (same seed => byte-identical export)"
-cargo build -q --release -p netsession-bench --bin paper
-bin="$PWD/target/release/paper"
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
-(cd "$tmp" && "$bin" headline --scale 2000 --downloads 3000 >run1.txt 2>/dev/null && mv results/paper.trace.json trace1.json)
-(cd "$tmp" && "$bin" headline --scale 2000 --downloads 3000 >run2.txt 2>/dev/null && mv results/paper.trace.json trace2.json)
-cmp "$tmp/run1.txt" "$tmp/run2.txt"
-cmp "$tmp/trace1.json" "$tmp/trace2.json"
-
 stage "results reproduction (one paper run => every committed per-flow artifact)"
 # The committed results/ files are the oracle that licenses refactoring:
 # one `paper` run (17 simulated months, each entry at its committed scale)
@@ -41,6 +31,12 @@ stage "results reproduction (one paper run => every committed per-flow artifact)
 # `paper`'s standard month is fault-free, so the chaos entry is what
 # executes the loop's Fault / Readmit / ReAdd / EdgeRecover handlers.
 # Runs in $tmp so the check never rewrites the files it compares against.
+# A fresh build reproducing the committed traces is also the same-seed
+# determinism check: it proves byte identity across builds and runs.
+cargo build -q --release -p netsession-bench --bin paper
+bin="$PWD/target/release/paper"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 (cd "$tmp" && "$bin" >/dev/null 2>&1)
 for f in "$tmp"/results/*.txt "$tmp"/results/*.trace.json "$tmp"/results/alerts.json; do
     cmp "$f" "results/$(basename "$f")"
@@ -114,27 +110,14 @@ if [ -e results/scale.timeseries.json ]; then
     "$scale_bin" --lint-timeseries results/scale.timeseries.json
 fi
 
-stage "bench snapshot lint (perfbench --check)"
-# Parses results/bench/BENCH_*.json against the family table in
-# crates/bench/src/trend.rs (schema + required fields per issue). Re-measures
-# nothing: wheel == heap is crates/hybrid/tests/queue_oracle.rs.
+stage "perf trajectory (perfbench --trend: every snapshot lints, BENCH_15 present)"
+# Trajectory table from every committed BENCH_*.json, each linted against
+# the family table in crates/bench/src/trend.rs (schema, the fields each
+# snapshot number requires, the parallel-speedup floor); fails when one
+# breaks it or BENCH_15.json is missing. Re-measures nothing: wheel == heap
+# is crates/hybrid/tests/queue_oracle.rs.
 cargo build -q --release -p netsession-bench --bin perfbench
-perfbench_bin="$PWD/target/release/perfbench"
-found_bench=""
-for snap in results/bench/BENCH_*.json; do
-    [ -e "$snap" ] || continue
-    found_bench=1
-    "$perfbench_bin" --check "$snap"
-done
-if [ -z "$found_bench" ]; then
-    echo "no results/bench/BENCH_*.json snapshot committed" >&2
-    exit 1
-fi
-
-stage "perf trajectory (perfbench --trend: every snapshot parses, BENCH_15 present)"
-# Cross-PR table from every committed BENCH_*.json; fails when this PR's
-# snapshot is missing or lacks the families its issue is required to carry.
-"$perfbench_bin" --trend --require 15
+"$PWD/target/release/perfbench" --trend --require 15
 
 stage "committed trace exports stay under 1 MiB"
 oversize="$(find results -name '*.trace.json' -size +1M 2>/dev/null || true)"
