@@ -31,8 +31,8 @@
 //!                              JSON to F (the check.sh byte-diff target)
 //! scale --timeseries-out F     also write the timeseries sidecar to F
 //!                              (the check.sh byte-diff target)
-//! scale --lint-profile F       validate a scale.profile.json and exit
-//! scale --lint-timeseries F    validate a scale.timeseries.json and exit
+//! scale --lint F               validate any sidecar against its schema
+//!                              (crates/bench/src/schema.rs) and exit
 //! ```
 //!
 //! Flag order never matters: explicit value flags override the `--smoke`
@@ -43,12 +43,13 @@
 //! population).
 
 use netsession_bench::runner::{peak_rss_kb, write_file, write_result};
+use netsession_bench::schema;
 use netsession_core::time::SimDuration;
 use netsession_hybrid::alerts::{detected_classes, replay_standard_alerts, SeriesDetection};
 use netsession_hybrid::{run_scaled_profiled, FaultSchedule, ScaledAlert, ScaledConfig};
 use netsession_logs::{ProfileDigest, SeriesDigest};
 use netsession_obs::json::push_str_literal;
-use netsession_obs::profile::{ImbalanceStats, ShardProfiler};
+use netsession_obs::profile::ShardProfiler;
 use netsession_obs::MergedSeries;
 use netsession_obs::MetricsRegistry;
 use std::path::Path;
@@ -59,6 +60,15 @@ use std::time::Instant;
 fn or_exit(written: std::io::Result<()>) {
     if let Err(e) = written {
         eprintln!("scale: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Validate a fresh sidecar before it lands anywhere, with the schema
+/// check.sh applies to the committed copy; a failure exits 1.
+fn self_check(what: &str, sidecar: &str) {
+    if let Err(e) = schema::validate(sidecar) {
+        eprintln!("scale: fresh {what} sidecar fails its own schema: {e}");
         std::process::exit(1);
     }
 }
@@ -188,28 +198,15 @@ fn main() {
             }
             "--profile-det-out" => det_out = Some(next_str(&argv, &mut i, "--profile-det-out")),
             "--timeseries-out" => ts_out = Some(next_str(&argv, &mut i, "--timeseries-out")),
-            "--lint-timeseries" => {
-                let path = next_str(&argv, &mut i, "--lint-timeseries");
-                match netsession_bench::ts_lint::lint_timeseries(&path) {
-                    Ok(()) => {
-                        println!("timeseries lint OK: {path}");
+            "--lint" => {
+                let path = next_str(&argv, &mut i, "--lint");
+                match schema::validate_file(&path) {
+                    Ok(doc) => {
+                        println!("{} lint OK: {path}", doc.schema.tag);
                         return;
                     }
                     Err(e) => {
-                        eprintln!("timeseries lint FAILED: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "--lint-profile" => {
-                let path = next_str(&argv, &mut i, "--lint-profile");
-                match netsession_bench::profile_lint::lint_profile(&path) {
-                    Ok(()) => {
-                        println!("profile lint OK: {path}");
-                        return;
-                    }
-                    Err(e) => {
-                        eprintln!("profile lint FAILED: {e}");
+                        eprintln!("lint FAILED: {e}");
                         std::process::exit(1);
                     }
                 }
@@ -319,12 +316,7 @@ fn main() {
                 .flat_map(|r| r.alerts.iter().copied())
                 .collect();
             let sidecar = timeseries_sidecar_json(ts, &alerts, dets);
-            // Self-check the artifact before it lands anywhere: the same
-            // lint check.sh runs on the committed copy.
-            if let Err(e) = netsession_bench::ts_lint::lint_timeseries_text(&sidecar) {
-                eprintln!("scale: fresh timeseries sidecar fails its own lint: {e}");
-                std::process::exit(1);
-            }
+            self_check("timeseries", &sidecar);
             Some(sidecar)
         }
         _ => None,
@@ -381,6 +373,7 @@ fn main() {
     let profile = format!(
             "{{\n  \"schema\": \"netsession-shard-profile/1\",\n  \"deterministic\": {det_json},\n  \"volatile\": {vol}\n}}\n"
         );
+    self_check("profile", &profile);
     or_exit(write_result("scale", "profile.json", profile.as_bytes()));
     // Per-shard bucket budget shrinks as shards grow so the export
     // stays under the 1 MiB trace budget at any (K, population).
@@ -401,8 +394,6 @@ fn main() {
     if let Some(sidecar) = &ts_sidecar {
         or_exit(write_result("scale", "timeseries.json", sidecar.as_bytes()));
     }
-    // Self-check the artifact we just wrote (cheap, catches drift early).
-    let _ = ImbalanceStats::parse_json(&det_json).expect("deterministic profile round-trips");
 
     eprintln!(
         "# wall {:.1} s on {threads} threads ({cpus} cpus), {:.0} events/s, peak RSS {} KiB",

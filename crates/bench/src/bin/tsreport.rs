@@ -19,23 +19,8 @@
 //! output is byte-deterministic and diffable in gates.
 
 use netsession_analytics::timeseries::{diurnal_profile, peak_trough, top_anomalies};
+use netsession_bench::schema::{self, Timeseries};
 use netsession_hybrid::alerts::FAULT_CLASS_RULES;
-use netsession_obs::{json, MergedSeries};
-
-struct Alert {
-    class: String,
-    at_hours: u64,
-    window: usize,
-    region: String,
-    detail: u64,
-}
-
-struct Detection {
-    region: Option<String>,
-    rule: String,
-    raised: bool,
-    at_us: u64,
-}
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
@@ -59,58 +44,19 @@ fn main() {
         }
     }
 
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("tsreport: {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let doc = json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-    assert_eq!(
-        doc.get("schema").and_then(|s| s.as_str()),
-        Some("netsession-timeseries/1"),
-        "{path}: not a timeseries sidecar"
-    );
-    let series = MergedSeries::from_value(doc.get("series").expect("series section"))
-        .unwrap_or_else(|e| panic!("{path}: {e}"));
-    let get_arr = |key: &str| {
-        doc.get(key)
-            .and_then(|v| v.as_arr())
-            .map(<[_]>::to_vec)
-            .unwrap_or_default()
-    };
-    let alerts: Vec<Alert> = get_arr("alerts")
-        .iter()
-        .map(|a| Alert {
-            class: a
-                .get("class")
-                .and_then(|v| v.as_str())
-                .unwrap_or("?")
-                .to_string(),
-            at_hours: a.get("at_hours").and_then(|v| v.as_u64()).unwrap_or(0),
-            window: a.get("window").and_then(|v| v.as_u64()).unwrap_or(0) as usize,
-            region: a
-                .get("region")
-                .and_then(|v| v.as_str())
-                .unwrap_or("?")
-                .to_string(),
-            detail: a.get("detail").and_then(|v| v.as_u64()).unwrap_or(0),
-        })
-        .collect();
-    let detections: Vec<Detection> = get_arr("detections")
-        .iter()
-        .map(|d| Detection {
-            region: d.get("region").and_then(|v| v.as_str()).map(str::to_string),
-            rule: d
-                .get("rule")
-                .and_then(|v| v.as_str())
-                .unwrap_or("?")
-                .to_string(),
-            raised: d.get("raised").and_then(|v| v.as_bool()).unwrap_or(false),
-            at_us: d.get("at_us").and_then(|v| v.as_u64()).unwrap_or(0),
-        })
-        .collect();
+    // A sidecar that fails its schema is reported, not half-printed.
+    let doc = schema::validate_file(&path).and_then(|doc| {
+        doc.timeseries
+            .ok_or_else(|| format!("{path}: not a timeseries sidecar"))
+    });
+    let Timeseries {
+        series,
+        alerts,
+        detections,
+    } = doc.unwrap_or_else(|e| {
+        eprintln!("tsreport: {e}");
+        std::process::exit(2);
+    });
 
     let windows_per_day = (86_400_000_000 / series.interval_us.max(1)) as usize;
     println!(
@@ -172,39 +118,37 @@ fn main() {
                 .find(|(c, _, _)| *c == a.class)
                 .map(|(_, r, _)| *r)
                 .unwrap_or("?");
-            let inject_us = a.at_hours * 3_600_000_000;
+            let inject_us = a.at_hours.saturating_mul(3_600_000_000);
+            let region = series.groups[a.region as usize].as_str();
             // Earliest raise of the paired rule at-or-after injection;
             // region-scoped detection preferred, fleet-wide accepted.
             let hit = detections
                 .iter()
-                .filter(|d| d.rule == rule && d.raised && d.at_us >= inject_us)
-                .min_by_key(|d| (d.at_us, d.region.as_deref() != Some(a.region.as_str())));
-            let g = series.groups.iter().position(|r| *r == a.region);
-            let dip = g.map(|g| {
-                let row = &bytes_peers.values[g];
-                let mean = row.iter().map(|&v| v as f64).sum::<f64>() / row.len().max(1) as f64;
-                let at = row.get(a.window).copied().unwrap_or(0) as f64;
-                if mean > 0.0 {
-                    100.0 * (at - mean) / mean
-                } else {
-                    0.0
-                }
-            });
+                .filter(|d| d.event.rule == rule && d.event.raised && d.event.at_us >= inject_us)
+                .min_by_key(|d| (d.event.at_us, d.region.as_deref() != Some(region)));
+            let row = &bytes_peers.values[a.region as usize];
+            let mean = row.iter().map(|&v| v as f64).sum::<f64>() / row.len().max(1) as f64;
+            let at = row.get(a.window as usize).copied().unwrap_or(0) as f64;
+            let dip = if mean > 0.0 {
+                100.0 * (at - mean) / mean
+            } else {
+                0.0
+            };
             match hit {
                 Some(d) => println!(
                     "  h{:03} {:>14} {:<11} detail={:<6} -> {} ({}) ttd {:>5.1} min, peer-bytes dip {:+.1}%",
                     a.at_hours,
-                    a.region,
+                    region,
                     a.class,
                     a.detail,
-                    d.rule,
+                    d.event.rule,
                     d.region.as_deref().unwrap_or("fleet"),
-                    (d.at_us - inject_us) as f64 / 60e6,
-                    dip.unwrap_or(0.0),
+                    (d.event.at_us - inject_us) as f64 / 60e6,
+                    dip,
                 ),
                 None => println!(
                     "  h{:03} {:>14} {:<11} detail={:<6} -> UNDETECTED",
-                    a.at_hours, a.region, a.class, a.detail
+                    a.at_hours, region, a.class, a.detail
                 ),
             }
         }

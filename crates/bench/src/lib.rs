@@ -12,7 +12,6 @@
 
 pub mod explain;
 pub mod paper;
-pub mod profile_lint;
 pub mod runner;
+pub mod schema;
 pub mod trend;
-pub mod ts_lint;

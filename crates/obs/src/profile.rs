@@ -39,7 +39,7 @@
 //! fold also predicts the ceiling after splitting the busiest shard in
 //! two, which is the number ROADMAP item 1 needs for the Europe rebalance.
 
-use crate::json::{parse, push_str_literal, JsonValue};
+use crate::json::push_str_literal;
 
 /// One shard's deterministic execution record for one window.
 ///
@@ -438,30 +438,6 @@ impl ImbalanceStats {
         j.push_str("]\n  }");
         j
     }
-
-    /// Parse a JSON object produced by [`ImbalanceStats::to_json`] back
-    /// into numbers (round-trip used by tests and the schema lint).
-    pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-        let v = parse(text).map_err(|e| format!("{e}"))?;
-        for key in [
-            "shards",
-            "windows",
-            "events",
-            "critical_path_events",
-            "speedup_ceiling",
-            "split_busiest_ceiling",
-            "skew",
-        ] {
-            if v.get(key).and_then(|x| x.as_f64()).is_none() {
-                return Err(format!("deterministic profile: missing number {key}"));
-            }
-        }
-        match v.get("per_shard").and_then(|x| x.as_arr()) {
-            Some(arr) if !arr.is_empty() => {}
-            _ => return Err("deterministic profile: per_shard missing or empty".into()),
-        }
-        Ok(v)
-    }
 }
 
 /// Volatile wall-clock timings for one window: when each shard started,
@@ -851,7 +827,7 @@ mod tests {
         assert!(report.contains("shard 0 [left]: peers=700 events=18"));
         assert!(report.contains("critical_path: 18 of 28"));
         let json = s.to_json(&labels, &peers, Some("deadbeefx4"));
-        let v = ImbalanceStats::parse_json(&json).expect("round-trip");
+        let v = crate::json::parse(&json).expect("round-trip");
         assert_eq!(v.get("events").and_then(|x| x.as_u64()), Some(28));
         assert_eq!(
             v.get("critical_path_events").and_then(|x| x.as_u64()),

@@ -41,7 +41,7 @@
 //!   falls inside it (state active at the sampling instant).
 
 use crate::alert::{AlertEngine, AlertEvent, AlertRule};
-use crate::json::{parse, push_str_literal, JsonValue};
+use crate::json::push_str_literal;
 use crate::registry::RegistrySnapshot;
 
 /// How a metric accumulates within a window and combines across shards.
@@ -68,7 +68,8 @@ impl SeriesKind {
         }
     }
 
-    fn from_tag(tag: &str) -> Option<SeriesKind> {
+    /// Inverse of [`SeriesKind::tag`].
+    pub fn from_tag(tag: &str) -> Option<SeriesKind> {
         match tag {
             "counter" => Some(SeriesKind::Counter),
             "level" => Some(SeriesKind::Level),
@@ -565,96 +566,6 @@ impl MergedSeries {
         s.push_str("\n    ]\n  }");
         s
     }
-
-    /// Parse a series object produced by [`MergedSeries::to_json`].
-    pub fn parse_json(text: &str) -> Result<MergedSeries, String> {
-        let doc = parse(text).map_err(|e| format!("json: {} at byte {}", e.msg, e.at))?;
-        Self::from_value(&doc)
-    }
-
-    /// Parse from an already-parsed [`JsonValue`] (e.g. a field of the
-    /// sidecar document).
-    pub fn from_value(doc: &JsonValue) -> Result<MergedSeries, String> {
-        let num = |k: &str| -> Result<u64, String> {
-            doc.get(k)
-                .and_then(|v| v.as_u64())
-                .ok_or(format!("missing number {k}"))
-        };
-        let interval_us = num("interval_us")?;
-        let windows = num("windows")? as u32;
-        let groups: Vec<String> = doc
-            .get("groups")
-            .and_then(|v| v.as_arr())
-            .ok_or("missing groups")?
-            .iter()
-            .map(|g| {
-                g.as_str()
-                    .map(str::to_string)
-                    .ok_or("group not a string".to_string())
-            })
-            .collect::<Result<_, _>>()?;
-        let mut metrics = Vec::new();
-        for m in doc
-            .get("metrics")
-            .and_then(|v| v.as_arr())
-            .ok_or("missing metrics")?
-        {
-            let name = m
-                .get("name")
-                .and_then(|v| v.as_str())
-                .ok_or("metric missing name")?
-                .to_string();
-            let kind = m
-                .get("kind")
-                .and_then(|v| v.as_str())
-                .and_then(SeriesKind::from_tag)
-                .ok_or(format!("metric {name}: bad kind"))?;
-            let k_invariant = m
-                .get("k_invariant")
-                .and_then(|v| v.as_bool())
-                .ok_or(format!("metric {name}: missing k_invariant"))?;
-            let mut values = vec![vec![0i64; windows as usize]; groups.len()];
-            for row in m
-                .get("series")
-                .and_then(|v| v.as_arr())
-                .ok_or("missing series")?
-            {
-                let g = row
-                    .get("group")
-                    .and_then(|v| v.as_u64())
-                    .ok_or("row missing group")? as usize;
-                let start = row
-                    .get("start")
-                    .and_then(|v| v.as_u64())
-                    .ok_or("row missing start")? as usize;
-                let vals = row
-                    .get("values")
-                    .and_then(|v| v.as_arr())
-                    .ok_or("row missing values")?;
-                if g >= groups.len() {
-                    return Err(format!("metric {name}: group {g} out of range"));
-                }
-                if start + vals.len() > windows as usize {
-                    return Err(format!("metric {name}: group {g} row exceeds windows"));
-                }
-                for (i, v) in vals.iter().enumerate() {
-                    values[g][start + i] = v.as_f64().ok_or("value not a number")? as i64;
-                }
-            }
-            metrics.push(MergedMetric {
-                name,
-                kind,
-                k_invariant,
-                values,
-            });
-        }
-        Ok(MergedSeries {
-            interval_us,
-            windows,
-            groups,
-            metrics,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -752,19 +663,6 @@ mod tests {
         let m = merge_shards(&[s], &labels());
         assert_eq!(m.windows, 2, "horizon set by k_invariant metrics only");
         assert_eq!(m.metric("t.mail").unwrap().values[0], vec![0, 0]);
-    }
-
-    #[test]
-    fn encode_and_json_round_trip() {
-        let mut a = ShardSeries::new(SPECS, 2, HOUR);
-        a.add(0, 0, 10, 3);
-        a.add(0, 1, 5 * HOUR, 2);
-        a.level_shift(1, 0, 0, 4);
-        a.flag_span(2, 1, HOUR, 4 * HOUR, 1);
-        let m = merge_shards(&[a], &labels());
-        let parsed = MergedSeries::parse_json(&m.to_json()).expect("round-trips");
-        assert_eq!(parsed, m);
-        assert_eq!(parsed.encode(), m.encode());
     }
 
     #[test]

@@ -68,7 +68,7 @@ scale_bin="$PWD/target/release/scale"
 cmp "$tmp/scale_seq.txt" "$tmp/scale_par1.txt"
 cmp "$tmp/scale_par1.txt" "$tmp/scale_par2.txt"
 
-stage "shard-profile determinism (deterministic telemetry stream byte-diffed)"
+stage "shard-profile determinism (deterministic telemetry stream byte-diffed + schema.rs lint)"
 # The profiler's deterministic channel — per-window per-shard events,
 # barrier queue depth, mail matrix, and the SHA-256 stream fingerprint —
 # must be byte-identical across execution modes and repeat runs. Volatile
@@ -76,13 +76,11 @@ stage "shard-profile determinism (deterministic telemetry stream byte-diffed)"
 # sidecar's "volatile" section, which --profile-det-out omits).
 cmp "$tmp/det_seq.json" "$tmp/det_par1.json"
 cmp "$tmp/det_par1.json" "$tmp/det_par2.json"
-"$scale_bin" --lint-profile "$tmp/results/scale.profile.json"
-# The lint takes `volatile.threads` as optional (older sidecars have none);
-# what this tree writes and commits must carry it.
-grep -q '"threads":' "$tmp/results/scale.profile.json"
+# Both sidecars, fresh and committed, against the shard-profile table in
+# crates/bench/src/schema.rs.
+"$scale_bin" --lint "$tmp/results/scale.profile.json"
 if [ -e results/scale.profile.json ]; then
-    "$scale_bin" --lint-profile results/scale.profile.json
-    grep -q '"threads":' results/scale.profile.json
+    "$scale_bin" --lint results/scale.profile.json
 fi
 
 stage "sub-region shard determinism (16 sub-shards > 9 regions, smoke scale)"
@@ -94,7 +92,7 @@ stage "sub-region shard determinism (16 sub-shards > 9 regions, smoke scale)"
 (cd "$tmp" && "$scale_bin" --smoke --shards 16 --parallel >scale16_par.txt 2>/dev/null)
 cmp "$tmp/scale16_seq.txt" "$tmp/scale16_par.txt"
 
-stage "timeseries determinism (chaos smoke: seq vs par sidecar byte-diff + lint)"
+stage "timeseries determinism (chaos smoke: seq vs par sidecar byte-diff + schema.rs lint)"
 # The merged windowed-telemetry sidecar is a deterministic artifact: under
 # the full fault campaign at smoke scale, the sequential oracle and the
 # threaded run must print byte-identical stdout and write byte-identical
@@ -105,15 +103,15 @@ stage "timeseries determinism (chaos smoke: seq vs par sidecar byte-diff + lint)
 (cd "$tmp" && "$scale_bin" --smoke --chaos --parallel --timeseries-out ts_par.json >ts_par.txt 2>/dev/null)
 cmp "$tmp/ts_seq.txt" "$tmp/ts_par.txt"
 cmp "$tmp/ts_seq.json" "$tmp/ts_par.json"
-"$scale_bin" --lint-timeseries "$tmp/ts_seq.json"
+"$scale_bin" --lint "$tmp/ts_seq.json"
 if [ -e results/scale.timeseries.json ]; then
-    "$scale_bin" --lint-timeseries results/scale.timeseries.json
+    "$scale_bin" --lint results/scale.timeseries.json
 fi
 
-stage "perf trajectory (perfbench --trend: every snapshot lints, BENCH_15 present)"
-# Trajectory table from every committed BENCH_*.json, each linted against
-# the family table in crates/bench/src/trend.rs (schema, the fields each
-# snapshot number requires, the parallel-speedup floor); fails when one
+stage "perf trajectory (perfbench --trend: every snapshot passes schema.rs, BENCH_15 present)"
+# Trajectory table from every committed BENCH_*.json, each validated
+# against the perfbench table in crates/bench/src/schema.rs (the fields
+# each snapshot number requires, the parallel-speedup floor); fails when one
 # breaks it or BENCH_15.json is missing. Re-measures nothing: wheel == heap
 # is crates/hybrid/tests/queue_oracle.rs.
 cargo build -q --release -p netsession-bench --bin perfbench
