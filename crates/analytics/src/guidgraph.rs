@@ -8,9 +8,10 @@
 //! single, one-vertex short branch (46.2 %), two long branches (6.2 %),
 //! and several short or medium branches (23.5 %)."
 
+use netsession_core::fxhash::{FxHashMap, FxHashSet};
 use netsession_core::id::SecondaryGuid;
 use netsession_logs::TraceDataset;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Fig 12 pattern classes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -34,7 +35,7 @@ pub struct ChainGraph {
     /// Vertices (secondary GUIDs).
     pub vertices: usize,
     /// Child adjacency: parent → children.
-    children: HashMap<SecondaryGuid, Vec<SecondaryGuid>>,
+    children: FxHashMap<SecondaryGuid, Vec<SecondaryGuid>>,
     roots: Vec<SecondaryGuid>,
 }
 
@@ -42,11 +43,12 @@ impl ChainGraph {
     /// Build a graph from the login reports of one primary GUID. Each
     /// report lists the last secondary GUIDs *newest first*, so report
     /// element `i+1` is the parent of element `i`.
-    pub fn from_reports(reports: &[Vec<SecondaryGuid>]) -> ChainGraph {
-        let mut children: HashMap<SecondaryGuid, Vec<SecondaryGuid>> = HashMap::new();
-        let mut all: HashSet<SecondaryGuid> = HashSet::new();
-        let mut has_parent: HashSet<SecondaryGuid> = HashSet::new();
+    pub fn from_reports<R: AsRef<[SecondaryGuid]>>(reports: &[R]) -> ChainGraph {
+        let mut children: FxHashMap<SecondaryGuid, Vec<SecondaryGuid>> = FxHashMap::default();
+        let mut all: FxHashSet<SecondaryGuid> = FxHashSet::default();
+        let mut has_parent: FxHashSet<SecondaryGuid> = FxHashSet::default();
         for rep in reports {
+            let rep = rep.as_ref();
             for w in rep.windows(2) {
                 let (child, parent) = (w[0], w[1]);
                 all.insert(child);
@@ -142,20 +144,25 @@ impl ChainGraph {
 /// Fig 12 census: pattern → count over all GUIDs with ≥3 vertices (as the
 /// paper restricts to "connected graphs with at least three vertices").
 pub fn fig12(ds: &TraceDataset) -> HashMap<ChainPattern, u64> {
-    let mut per_guid: HashMap<u128, Vec<(u64, Vec<SecondaryGuid>)>> = HashMap::new();
-    for l in &ds.logins {
-        if l.secondary_guids.is_empty() {
-            continue;
-        }
-        per_guid
-            .entry(l.guid.0)
-            .or_default()
-            .push((l.at.as_micros(), l.secondary_guids.clone()));
-    }
+    // Login indices grouped by GUID, each group in report-time order (ties
+    // in log order), so every graph is built from borrowed reports.
+    let logins = &ds.logins;
+    let mut order: Vec<u32> = (0..logins.len() as u32)
+        .filter(|&i| !logins[i as usize].secondary_guids.is_empty())
+        .collect();
+    order.sort_unstable_by_key(|&i| {
+        let l = &logins[i as usize];
+        (l.guid.0, l.at.as_micros(), i)
+    });
     let mut census: HashMap<ChainPattern, u64> = HashMap::new();
-    for (_, mut reports) in per_guid {
-        reports.sort_by_key(|(t, _)| *t);
-        let reports: Vec<Vec<SecondaryGuid>> = reports.into_iter().map(|(_, r)| r).collect();
+    let mut reports: Vec<&[SecondaryGuid]> = Vec::new();
+    for group in order.chunk_by(|&a, &b| logins[a as usize].guid == logins[b as usize].guid) {
+        reports.clear();
+        reports.extend(
+            group
+                .iter()
+                .map(|&i| logins[i as usize].secondary_guids.as_slice()),
+        );
         let graph = ChainGraph::from_reports(&reports);
         if graph.vertices < 3 {
             continue;

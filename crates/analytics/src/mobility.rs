@@ -6,8 +6,8 @@
 //! remained within 10 km… on average, the control plane receives 20,922
 //! new connections per minute."
 
+use netsession_core::fxhash::FxHashMap;
 use netsession_logs::TraceDataset;
-use std::collections::{HashMap, HashSet};
 
 /// Summary of the mobility analyses.
 #[derive(Clone, Debug)]
@@ -40,22 +40,32 @@ fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
     2.0 * R * a.sqrt().atan2((1.0 - a).sqrt())
 }
 
+/// One GUID's distinct ASes and distinct login locations. Both are few,
+/// so small vectors beat nested sets.
+#[derive(Default)]
+struct Seen {
+    ases: Vec<u32>,
+    locs: Vec<(f64, f64)>,
+}
+
 /// Compute the §6.2 summary from login records.
 pub fn summarize(ds: &TraceDataset) -> MobilitySummary {
-    let mut ases: HashMap<u128, HashSet<u32>> = HashMap::new();
-    let mut locations: HashMap<u128, Vec<(f64, f64)>> = HashMap::new();
+    // Only counts leave this map, never its iteration order.
+    let mut per_guid: FxHashMap<u128, Seen> = FxHashMap::default();
     let mut t_min = u64::MAX;
     let mut t_max = 0u64;
     for l in &ds.logins {
-        ases.entry(l.guid.0).or_default().insert(l.asn.0);
-        let locs = locations.entry(l.guid.0).or_default();
-        if !locs.iter().any(|(a, b)| *a == l.lat && *b == l.lon) {
-            locs.push((l.lat, l.lon));
+        let seen = per_guid.entry(l.guid.0).or_default();
+        if !seen.ases.contains(&l.asn.0) {
+            seen.ases.push(l.asn.0);
+        }
+        if !seen.locs.iter().any(|(a, b)| *a == l.lat && *b == l.lon) {
+            seen.locs.push((l.lat, l.lon));
         }
         t_min = t_min.min(l.at.as_micros());
         t_max = t_max.max(l.at.as_micros());
     }
-    let guids = ases.len() as u64;
+    let guids = per_guid.len() as u64;
     if guids == 0 {
         return MobilitySummary {
             guids: 0,
@@ -67,11 +77,12 @@ pub fn summarize(ds: &TraceDataset) -> MobilitySummary {
         };
     }
     let count = |pred: &dyn Fn(usize) -> bool| {
-        ases.values().filter(|s| pred(s.len())).count() as f64 / guids as f64
+        per_guid.values().filter(|s| pred(s.ases.len())).count() as f64 / guids as f64
     };
     // Farthest pair per GUID (locations per GUID are few).
-    let near = locations
+    let near = per_guid
         .values()
+        .map(|s| &s.locs)
         .filter(|locs| {
             let mut max = 0.0f64;
             for i in 0..locs.len() {

@@ -48,13 +48,13 @@ fn table_and_committed_results_cover_each_other() {
     let names: BTreeSet<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate table name");
 
-    // Every committed results/*.txt is a table output, bar the two
-    // artifacts of the `scale` and `flownet_scale` harnesses.
+    // Every committed results/*.txt is a table output, bar the `scale`
+    // harness's artifact.
     let declared: BTreeSet<String> = EXPERIMENTS
         .iter()
         .flat_map(|e| e.outputs())
         .filter(|f| f.ends_with(".txt"))
-        .chain(["scale.txt", "flownet_scale.txt"].map(String::from))
+        .chain(["scale.txt".to_string()])
         .collect();
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let committed: BTreeSet<String> = std::fs::read_dir(&results)

@@ -33,6 +33,7 @@
 
 use netsession_core::units::Bandwidth;
 use netsession_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceCtx, TraceSink};
+use std::time::Instant;
 
 /// Handle to a node (an access link: one upstream + one downstream side).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -91,24 +92,26 @@ struct CandScratch {
 }
 
 /// Scratch buffers for [`FlowNet::fill_component`], reused across fills.
+/// Resource *sides* are indexed `2 * local_node + {0 up, 1 down}`.
 #[derive(Default)]
 struct FillScratch {
     cn: Vec<u32>,
-    cap_up: Vec<f64>,
-    cap_down: Vec<f64>,
-    resid_up: Vec<f64>,
-    resid_down: Vec<f64>,
-    up_count: Vec<u32>,
-    down_count: Vec<u32>,
-    src: Vec<usize>,
-    dst: Vec<usize>,
+    resid: Vec<f64>,
+    count: Vec<u32>,
+    thr: Vec<f64>,
+    // Per-side flow lists (CSR over finite sides; infinite sides never
+    // saturate, so their ranges are empty).
+    side_start: Vec<u32>,
+    side_flows: Vec<u32>,
+    src: Vec<u32>,
+    dst: Vec<u32>,
     ceil: Vec<f64>,
-    rate: Vec<f64>,
-    active: Vec<usize>,
-    live_nodes: Vec<u32>,
-    up_thr: Vec<f64>,
-    down_thr: Vec<f64>,
     rate_thr: Vec<f64>,
+    rate: Vec<f64>,
+    frozen: Vec<bool>,
+    by_ceil: Vec<u32>,
+    live_sides: Vec<u32>,
+    saturated: Vec<u32>,
 }
 
 /// The fluid network: nodes, flows, and their current max-min fair rates.
@@ -174,6 +177,9 @@ pub struct FlowNet {
     components_gauge: Gauge,
     dirty_components_ctr: Counter,
     flows_recomputed_ctr: Counter,
+    // Wall time of each recompute that does work (volatile). `None` when
+    // no registry is attached, so a detached net never reads the clock.
+    recompute_ns: Option<Histogram>,
 
     // Trace scope: while a driver is mutating flows on behalf of a traced
     // download, attach/detach marker spans are emitted under that
@@ -225,6 +231,7 @@ impl FlowNet {
             components_gauge: Gauge::detached(),
             dirty_components_ctr: Counter::detached(),
             flows_recomputed_ctr: Counter::detached(),
+            recompute_ns: None,
             trace: TraceSink::detached(),
             trace_ctx: TraceCtx::NONE,
             trace_now_us: 0,
@@ -236,14 +243,17 @@ impl FlowNet {
     /// histogram, plus the incremental-path instruments
     /// `sim.flownet_components` (flow-graph components at the last
     /// recompute), `sim.flownet_dirty_components` (components re-filled),
-    /// and `sim.flownet_active_flows_recomputed` (flows re-filled). Purely
-    /// passive: rate assignment is identical with or without a registry.
+    /// and `sim.flownet_active_flows_recomputed` (flows re-filled), and the
+    /// volatile `sim.flownet_recompute_ns` histogram (wall time of each
+    /// recompute that does work). Purely passive: rate assignment is
+    /// identical with or without a registry.
     pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
         self.recompute_ctr = registry.counter("sim.flownet_recomputes");
         self.flows_per_recompute = registry.histogram("sim.flownet_flows_per_recompute");
         self.components_gauge = registry.gauge("sim.flownet_components");
         self.dirty_components_ctr = registry.counter("sim.flownet_dirty_components");
         self.flows_recomputed_ctr = registry.counter("sim.flownet_active_flows_recomputed");
+        self.recompute_ns = Some(registry.volatile_histogram("sim.flownet_recompute_ns"));
         self
     }
 
@@ -500,6 +510,7 @@ impl FlowNet {
     /// partition and re-fills every component. Use
     /// [`recompute_dirty`](FlowNet::recompute_dirty) on the hot path.
     pub fn recompute(&mut self) {
+        let started = self.recompute_ns.as_ref().map(|_| Instant::now());
         self.rebuild_partition();
         let mut members = std::mem::take(&mut self.members_scratch);
         members.clear();
@@ -524,13 +535,20 @@ impl FlowNet {
         self.recompute_ctr.incr();
         self.flows_per_recompute.record(self.live as u64);
         self.flows_recomputed_ctr.add(member_slots.len() as u64);
-        let filled = self.fill_candidates(&member_slots);
+        let filled = self.fill_candidates(&member_slots, FlowNet::fill_component);
         self.slots_scratch = member_slots;
         self.dirty_components_ctr.add(filled as u64);
         self.components_gauge.set(filled as i64);
 
         self.dirty_nodes.clear();
         self.epoch += 1;
+        self.record_recompute_ns(started);
+    }
+
+    fn record_recompute_ns(&self, started: Option<Instant>) {
+        if let (Some(h), Some(t)) = (&self.recompute_ns, started) {
+            h.record(t.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Recompute rates only inside components dirtied since the last
@@ -543,6 +561,7 @@ impl FlowNet {
         if self.dirty_nodes.is_empty() {
             return;
         }
+        let started = self.recompute_ns.as_ref().map(|_| Instant::now());
         // Removals make the coarse partition stale (components can only
         // appear merged, never split — safe but wasteful). Re-derive it
         // once staleness could double the recomputed set.
@@ -595,18 +614,19 @@ impl FlowNet {
         self.recompute_ctr.incr();
         self.flows_per_recompute.record(self.live as u64);
         self.flows_recomputed_ctr.add(member_slots.len() as u64);
-        let filled = self.fill_candidates(&member_slots);
+        let filled = self.fill_candidates(&member_slots, FlowNet::fill_component);
         self.slots_scratch = member_slots;
         self.dirty_components_ctr.add(filled as u64);
         self.components_gauge.set(components_total as i64);
 
         self.epoch += 1;
+        self.record_recompute_ns(started);
     }
 
     /// Split `members` (flow slots, sorted by creation order) into exact
-    /// connected components and fill each independently. Returns the number
-    /// of components filled.
-    fn fill_candidates(&mut self, members: &[u32]) -> usize {
+    /// connected components and `fill` each independently (tests pass the
+    /// reference loop). Returns the number of components filled.
+    fn fill_candidates(&mut self, members: &[u32], fill: fn(&mut FlowNet, &[u32])) -> usize {
         if members.is_empty() {
             return 0;
         }
@@ -677,51 +697,61 @@ impl FlowNet {
             cs.comps[cs.comp_of_root[r] as usize].push(s);
         }
         for comp in &cs.comps[..used] {
-            self.fill_component(comp);
+            fill(self, comp);
         }
         self.cand = cs;
         used
     }
 
-    /// Progressive filling restricted to one connected component. The loop
-    /// works on dense scratch arrays and an active-flow list that shrinks
-    /// as flows freeze, so the common case is far below the theoretical
-    /// O(F²) bound. Also rebuilds the component's per-node utilization
-    /// aggregates exactly (every flow touching a member node is a member).
+    /// Progressive filling restricted to one connected component, by
+    /// resource side rather than by flow. Three identities let a round visit
+    /// each constraining side once (one ratio, `count` subtractions) instead
+    /// of making two passes over every unfrozen flow, while assigning
+    /// bit-identical rates to the per-flow loop (kept as the test oracle
+    /// `fill_component_reference`):
+    ///
+    /// - Every unfrozen flow starts at `0.0` and receives the same
+    ///   increments in the same order, so all of them hold one value, the
+    ///   running `level`. A flow's rate is written once, when it freezes.
+    /// - Within a round every subtraction against one side uses the same
+    ///   `inc`, so the per-flow scatter `resid[side] -= inc` is `count[side]`
+    ///   consecutive subtractions on that side.
+    /// - Rounding is monotone, so the ceiling headroom
+    ///   `min_k fl(ceil_k - rate_k)` over unfrozen flows is
+    ///   `fl(min unfrozen ceil - level)`, and ceiling freezes become a
+    ///   cursor over the flows sorted once by ceiling (their freeze lines
+    ///   `rate_thr` are monotone in the ceiling).
+    ///
+    /// Also rebuilds the component's per-node utilization aggregates
+    /// exactly (every flow touching a member node is a member).
     fn fill_component(&mut self, comp: &[u32]) {
         let n = comp.len();
         self.nl_epoch += 1;
         let mut fs = std::mem::take(&mut self.fill);
         let FillScratch {
             cn,
-            cap_up,
-            cap_down,
-            resid_up,
-            resid_down,
-            up_count,
-            down_count,
+            resid,
+            count,
+            thr,
+            side_start,
+            side_flows,
             src,
             dst,
             ceil,
-            rate,
-            active,
-            live_nodes,
-            up_thr,
-            down_thr,
             rate_thr,
+            rate,
+            frozen,
+            by_ceil,
+            live_sides,
+            saturated,
         } = &mut fs;
         cn.clear();
-        cap_up.clear();
-        cap_down.clear();
-        resid_up.clear();
-        resid_down.clear();
-        up_count.clear();
-        down_count.clear();
+        resid.clear();
+        count.clear();
+        thr.clear();
         src.clear();
         dst.clear();
         ceil.clear();
-        up_thr.clear();
-        down_thr.clear();
         rate_thr.clear();
         for &s in comp {
             let f = self.slots[s as usize].flow.as_ref().unwrap();
@@ -732,133 +762,149 @@ impl FlowNet {
                     self.nl_idx[e] = cn.len() as u32;
                     cn.push(e as u32);
                     let node = &self.nodes[e];
-                    cap_up.push(node.up);
-                    cap_down.push(node.down);
-                    resid_up.push(node.up);
-                    resid_down.push(node.down);
-                    up_count.push(0);
-                    down_count.push(0);
-                    // Saturation thresholds folded once per fill: the
-                    // round-loop test `finite && (resid <= EPS*cap ||
-                    // resid <= 1e-6)` is `resid <= max(EPS*cap, 1e-6)`
-                    // for finite caps (same comparisons, same floats) and
-                    // always-false for infinite ones, which -inf encodes.
-                    up_thr.push(if node.up.is_finite() {
-                        (EPS * node.up).max(1e-6)
-                    } else {
-                        f64::NEG_INFINITY
-                    });
-                    down_thr.push(if node.down.is_finite() {
-                        (EPS * node.down).max(1e-6)
-                    } else {
-                        f64::NEG_INFINITY
-                    });
+                    for cap in [node.up, node.down] {
+                        resid.push(cap);
+                        count.push(0);
+                        // Saturation is `resid <= max(EPS*cap, 1e-6)` for a
+                        // finite side; an infinite one (edge servers) never
+                        // saturates, which -inf encodes.
+                        thr.push(if cap.is_finite() {
+                            (EPS * cap).max(1e-6)
+                        } else {
+                            f64::NEG_INFINITY
+                        });
+                    }
                 }
             }
-            let (sl, dl) = (self.nl_idx[a] as usize, self.nl_idx[b] as usize);
-            up_count[sl] += 1;
-            down_count[dl] += 1;
-            src.push(sl);
-            dst.push(dl);
+            let (su, sd) = (2 * self.nl_idx[a], 2 * self.nl_idx[b] + 1);
+            count[su as usize] += 1;
+            count[sd as usize] += 1;
+            src.push(su);
+            dst.push(sd);
             ceil.push(c);
             // `at_ceil || capped` is one comparison against the smaller
             // of the two freeze lines (both are `rate >= x` tests).
             rate_thr.push((c - EPS * c.max(1.0)).min(MAX_RATE));
         }
 
-        rate.clear();
-        rate.resize(n, 0.0);
-        active.clear();
-        active.extend(0..n);
-        // Running min of each unfrozen flow's ceiling headroom
-        // (`ceil[k] - rate[k]`), maintained across rounds so the round
-        // loop does not need a dedicated O(active) scan for it. f64 min
-        // is exact and order-independent, so folding the same values in
-        // a different order yields the bit-identical minimum.
-        let mut flow_min = f64::INFINITY;
-        for &c in ceil.iter() {
-            flow_min = flow_min.min(c);
+        // Per-side flow lists and the sides that can constrain the
+        // increment: a side with no unfrozen flows contributes nothing,
+        // and an infinite side has ratio inf — it never moves the min.
+        // `side_start` first holds each range's end, and placing a flow
+        // moves its side's entry back, so it ends at the range's start.
+        side_start.clear();
+        live_sides.clear();
+        let mut total = 0u32;
+        for sx in 0..resid.len() {
+            if thr[sx] != f64::NEG_INFINITY && count[sx] > 0 {
+                total += count[sx];
+                live_sides.push(sx as u32);
+            }
+            side_start.push(total);
         }
-        // Only node sides that can ever constrain the increment: a side
-        // with no unfrozen flows contributes nothing, and an infinite side
-        // (edge servers) has ratio inf — it never moves the min and never
-        // saturates. Skipping both leaves every computed `inc` identical
-        // (min over the same set of finite ratios) while shrinking the
-        // per-round scan from all component nodes to the constraining few.
-        live_nodes.clear();
-        for i in 0..cn.len() {
-            if (up_count[i] > 0 && cap_up[i].is_finite())
-                || (down_count[i] > 0 && cap_down[i].is_finite())
-            {
-                live_nodes.push(i as u32);
+        side_start.push(total);
+        side_flows.clear();
+        side_flows.resize(total as usize, 0);
+        for k in 0..n {
+            for sx in [src[k] as usize, dst[k] as usize] {
+                if thr[sx] != f64::NEG_INFINITY {
+                    side_start[sx] -= 1;
+                    side_flows[side_start[sx] as usize] = k as u32;
+                }
             }
         }
-        while !active.is_empty() {
+
+        by_ceil.clear();
+        by_ceil.extend(0..n as u32);
+        by_ceil.sort_unstable_by(|&x, &y| ceil[x as usize].total_cmp(&ceil[y as usize]));
+        debug_assert!(by_ceil
+            .windows(2)
+            .all(|w| rate_thr[w[0] as usize] <= rate_thr[w[1] as usize]));
+
+        rate.clear();
+        rate.resize(n, 0.0);
+        frozen.clear();
+        frozen.resize(n, false);
+        let mut level = 0.0f64;
+        let mut unfrozen = n;
+        // `by_ceil[..ceil_cur]` and `0..first` are all frozen.
+        let mut ceil_cur = 0usize;
+        let mut first = 0usize;
+        macro_rules! freeze {
+            ($k:expr) => {{
+                let k = $k;
+                frozen[k] = true;
+                rate[k] = level;
+                count[src[k] as usize] -= 1;
+                count[dst[k] as usize] -= 1;
+                unfrozen -= 1;
+            }};
+        }
+        while unfrozen > 0 {
             // The uniform increment every unfrozen flow can still take.
             let mut inc = f64::INFINITY;
             let mut i = 0;
-            while i < live_nodes.len() {
-                let nx = live_nodes[i] as usize;
-                let up_live = up_count[nx] > 0 && cap_up[nx].is_finite();
-                let down_live = down_count[nx] > 0 && cap_down[nx].is_finite();
-                if !up_live && !down_live {
-                    live_nodes.swap_remove(i);
+            while i < live_sides.len() {
+                let sx = live_sides[i] as usize;
+                if count[sx] == 0 {
+                    live_sides.swap_remove(i);
                     continue;
                 }
-                if up_live {
-                    inc = inc.min(resid_up[nx] / up_count[nx] as f64);
-                }
-                if down_live {
-                    inc = inc.min(resid_down[nx] / down_count[nx] as f64);
-                }
+                inc = inc.min(resid[sx] / count[sx] as f64);
                 i += 1;
             }
-            inc = inc.min(flow_min);
+            while frozen[by_ceil[ceil_cur] as usize] {
+                ceil_cur += 1;
+            }
+            inc = inc.min(ceil[by_ceil[ceil_cur] as usize] - level);
             if !inc.is_finite() {
                 inc = MAX_RATE;
             }
             inc = inc.max(0.0);
+            level += inc;
 
-            // Apply the increment.
-            for &k in active.iter() {
-                rate[k] += inc;
-                resid_up[src[k]] -= inc;
-                resid_down[dst[k]] -= inc;
+            // Apply the increment side by side (with every side's count as
+            // of the round's start), then freeze flows at a saturated side
+            // or at their ceiling.
+            saturated.clear();
+            for &sx in live_sides.iter() {
+                let sx = sx as usize;
+                let r = &mut resid[sx];
+                for _ in 0..count[sx] {
+                    *r -= inc;
+                }
+                if *r <= thr[sx] {
+                    saturated.push(sx as u32);
+                }
             }
-
-            // Freeze flows at a saturated resource or at their ceiling.
-            // Infinite-capacity sides (edge servers) can never saturate —
-            // without the finiteness guard, `inf - inc <= EPS * inf` is
-            // true and every edge flow would freeze at the first
-            // increment. The retain pass doubles as the producer of the
-            // next round's flow-ceiling minimum over exactly the flows
-            // that survive it.
-            let before = active.len();
-            flow_min = f64::INFINITY;
-            active.retain(|&k| {
-                let freeze = resid_up[src[k]] <= up_thr[src[k]]
-                    || resid_down[dst[k]] <= down_thr[dst[k]]
-                    || rate[k] >= rate_thr[k];
-                if freeze {
-                    up_count[src[k]] -= 1;
-                    down_count[dst[k]] -= 1;
-                } else {
-                    flow_min = flow_min.min(ceil[k] - rate[k]);
+            let before = unfrozen;
+            for &sx in saturated.iter() {
+                let sx = sx as usize;
+                for j in side_start[sx]..side_start[sx + 1] {
+                    let k = side_flows[j as usize] as usize;
+                    if !frozen[k] {
+                        freeze!(k);
+                    }
                 }
-                !freeze
-            });
+            }
+            while ceil_cur < n {
+                let k = by_ceil[ceil_cur] as usize;
+                if !frozen[k] {
+                    if level < rate_thr[k] {
+                        break;
+                    }
+                    freeze!(k);
+                }
+                ceil_cur += 1;
+            }
             // Progress guarantee: if numerically nothing froze, freeze the
-            // first remaining flow to avoid an infinite loop. Its ceiling
-            // headroom may have been folded into `flow_min` above, so
-            // rebuild the min over the flows actually left.
-            if active.len() == before {
-                let k = active.remove(0);
-                up_count[src[k]] -= 1;
-                down_count[dst[k]] -= 1;
-                flow_min = f64::INFINITY;
-                for &k in active.iter() {
-                    flow_min = flow_min.min(ceil[k] - rate[k]);
+            // first remaining flow (in creation order) to avoid an
+            // infinite loop.
+            if unfrozen == before {
+                while frozen[first] {
+                    first += 1;
                 }
+                freeze!(first);
             }
         }
 
@@ -920,6 +966,263 @@ mod tests {
 
     fn mbps(v: f64) -> Bandwidth {
         Bandwidth::from_mbps(v)
+    }
+
+    impl FlowNet {
+        /// Progressive filling flow by flow: two passes over every unfrozen
+        /// flow per round (apply, then retain). The oracle that the
+        /// side-based `fill_component` must match bit for bit.
+        fn fill_component_reference(&mut self, comp: &[u32]) {
+            let n = comp.len();
+            self.nl_epoch += 1;
+            let mut cn: Vec<u32> = Vec::new();
+            let mut cap_up: Vec<f64> = Vec::new();
+            let mut cap_down: Vec<f64> = Vec::new();
+            let mut resid_up: Vec<f64> = Vec::new();
+            let mut resid_down: Vec<f64> = Vec::new();
+            let mut up_count: Vec<u32> = Vec::new();
+            let mut down_count: Vec<u32> = Vec::new();
+            let mut src: Vec<usize> = Vec::new();
+            let mut dst: Vec<usize> = Vec::new();
+            let mut ceil: Vec<f64> = Vec::new();
+            let mut rate: Vec<f64> = Vec::new();
+            let mut active: Vec<usize> = Vec::new();
+            let mut live_nodes: Vec<u32> = Vec::new();
+            let mut up_thr: Vec<f64> = Vec::new();
+            let mut down_thr: Vec<f64> = Vec::new();
+            let mut rate_thr: Vec<f64> = Vec::new();
+            for &s in comp {
+                let f = self.slots[s as usize].flow.as_ref().unwrap();
+                let (a, b, c) = (f.src.0 as usize, f.dst.0 as usize, f.ceil);
+                for e in [a, b] {
+                    if self.nl_mark[e] != self.nl_epoch {
+                        self.nl_mark[e] = self.nl_epoch;
+                        self.nl_idx[e] = cn.len() as u32;
+                        cn.push(e as u32);
+                        let node = &self.nodes[e];
+                        cap_up.push(node.up);
+                        cap_down.push(node.down);
+                        resid_up.push(node.up);
+                        resid_down.push(node.down);
+                        up_count.push(0);
+                        down_count.push(0);
+                        // Saturation thresholds folded once per fill: the
+                        // round-loop test `finite && (resid <= EPS*cap ||
+                        // resid <= 1e-6)` is `resid <= max(EPS*cap, 1e-6)`
+                        // for finite caps (same comparisons, same floats) and
+                        // always-false for infinite ones, which -inf encodes.
+                        up_thr.push(if node.up.is_finite() {
+                            (EPS * node.up).max(1e-6)
+                        } else {
+                            f64::NEG_INFINITY
+                        });
+                        down_thr.push(if node.down.is_finite() {
+                            (EPS * node.down).max(1e-6)
+                        } else {
+                            f64::NEG_INFINITY
+                        });
+                    }
+                }
+                let (sl, dl) = (self.nl_idx[a] as usize, self.nl_idx[b] as usize);
+                up_count[sl] += 1;
+                down_count[dl] += 1;
+                src.push(sl);
+                dst.push(dl);
+                ceil.push(c);
+                // `at_ceil || capped` is one comparison against the smaller
+                // of the two freeze lines (both are `rate >= x` tests).
+                rate_thr.push((c - EPS * c.max(1.0)).min(MAX_RATE));
+            }
+
+            rate.clear();
+            rate.resize(n, 0.0);
+            active.clear();
+            active.extend(0..n);
+            // Running min of each unfrozen flow's ceiling headroom
+            // (`ceil[k] - rate[k]`), maintained across rounds so the round
+            // loop does not need a dedicated O(active) scan for it. f64 min
+            // is exact and order-independent, so folding the same values in
+            // a different order yields the bit-identical minimum.
+            let mut flow_min = f64::INFINITY;
+            for &c in ceil.iter() {
+                flow_min = flow_min.min(c);
+            }
+            // Only node sides that can ever constrain the increment: a side
+            // with no unfrozen flows contributes nothing, and an infinite side
+            // (edge servers) has ratio inf — it never moves the min and never
+            // saturates. Skipping both leaves every computed `inc` identical
+            // (min over the same set of finite ratios) while shrinking the
+            // per-round scan from all component nodes to the constraining few.
+            live_nodes.clear();
+            for i in 0..cn.len() {
+                if (up_count[i] > 0 && cap_up[i].is_finite())
+                    || (down_count[i] > 0 && cap_down[i].is_finite())
+                {
+                    live_nodes.push(i as u32);
+                }
+            }
+            while !active.is_empty() {
+                // The uniform increment every unfrozen flow can still take.
+                let mut inc = f64::INFINITY;
+                let mut i = 0;
+                while i < live_nodes.len() {
+                    let nx = live_nodes[i] as usize;
+                    let up_live = up_count[nx] > 0 && cap_up[nx].is_finite();
+                    let down_live = down_count[nx] > 0 && cap_down[nx].is_finite();
+                    if !up_live && !down_live {
+                        live_nodes.swap_remove(i);
+                        continue;
+                    }
+                    if up_live {
+                        inc = inc.min(resid_up[nx] / up_count[nx] as f64);
+                    }
+                    if down_live {
+                        inc = inc.min(resid_down[nx] / down_count[nx] as f64);
+                    }
+                    i += 1;
+                }
+                inc = inc.min(flow_min);
+                if !inc.is_finite() {
+                    inc = MAX_RATE;
+                }
+                inc = inc.max(0.0);
+
+                // Apply the increment.
+                for &k in active.iter() {
+                    rate[k] += inc;
+                    resid_up[src[k]] -= inc;
+                    resid_down[dst[k]] -= inc;
+                }
+
+                // Freeze flows at a saturated resource or at their ceiling.
+                // Infinite-capacity sides (edge servers) can never saturate —
+                // without the finiteness guard, `inf - inc <= EPS * inf` is
+                // true and every edge flow would freeze at the first
+                // increment. The retain pass doubles as the producer of the
+                // next round's flow-ceiling minimum over exactly the flows
+                // that survive it.
+                let before = active.len();
+                flow_min = f64::INFINITY;
+                active.retain(|&k| {
+                    let freeze = resid_up[src[k]] <= up_thr[src[k]]
+                        || resid_down[dst[k]] <= down_thr[dst[k]]
+                        || rate[k] >= rate_thr[k];
+                    if freeze {
+                        up_count[src[k]] -= 1;
+                        down_count[dst[k]] -= 1;
+                    } else {
+                        flow_min = flow_min.min(ceil[k] - rate[k]);
+                    }
+                    !freeze
+                });
+                // Progress guarantee: if numerically nothing froze, freeze the
+                // first remaining flow to avoid an infinite loop. Its ceiling
+                // headroom may have been folded into `flow_min` above, so
+                // rebuild the min over the flows actually left.
+                if active.len() == before {
+                    let k = active.remove(0);
+                    up_count[src[k]] -= 1;
+                    down_count[dst[k]] -= 1;
+                    flow_min = f64::INFINITY;
+                    for &k in active.iter() {
+                        flow_min = flow_min.min(ceil[k] - rate[k]);
+                    }
+                }
+            }
+
+            // Write back rates and rebuild the component's utilization
+            // aggregates (accumulated in creation order, matching what a flow
+            // scan in creation order would sum).
+            for &nid in cn.iter() {
+                self.util_up[nid as usize] = 0.0;
+                self.util_down[nid as usize] = 0.0;
+            }
+            for (k, &s) in comp.iter().enumerate() {
+                let f = self.slots[s as usize].flow.as_mut().unwrap();
+                f.rate = rate[k];
+                let (a, b) = (f.src.0 as usize, f.dst.0 as usize);
+                self.util_up[a] += rate[k];
+                self.util_down[b] += rate[k];
+            }
+        }
+    }
+
+    /// A random network (possibly several components) filled through
+    /// `fill`: every flow's rate bits in creation order, then every node's
+    /// upstream and downstream utilization bits. Inputs include infinite
+    /// nodes, zero-capacity and sub-threshold sides, ceilings equal to a
+    /// side's fair share, zero and tied ceilings, and duplicate
+    /// `(src, dst)` flows.
+    fn random_fill(seed: u64, fill: fn(&mut FlowNet, &[u32])) -> Vec<u64> {
+        use netsession_core::rng::DetRng;
+        let mut rng = DetRng::seeded(0xf111_0000 ^ seed);
+        let mut net = FlowNet::new();
+        let n = 2 + rng.index(14);
+        let mut caps = Vec::new();
+        for _ in 0..n {
+            let (up, down) = match rng.index(10) {
+                0 => (f64::INFINITY, f64::INFINITY),
+                1 => (0.0, mbps(rng.range_f64(0.5, 200.0)).bytes_per_sec()),
+                2 => (mbps(rng.range_f64(0.1, 50.0)).bytes_per_sec(), 0.0),
+                3 => (5e-7, mbps(rng.range_f64(0.5, 200.0)).bytes_per_sec()),
+                _ => (
+                    mbps(rng.range_f64(0.1, 50.0)).bytes_per_sec(),
+                    mbps(rng.range_f64(0.5, 200.0)).bytes_per_sec(),
+                ),
+            };
+            caps.push((up, down));
+            net.push_node(up, down);
+        }
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for _ in 0..1 + rng.index(60) {
+            let pair = match pairs.last() {
+                Some(&last) if rng.chance(0.2) => last,
+                _ => {
+                    let s = rng.index(n);
+                    (s, (s + 1 + rng.index(n - 1)) % n)
+                }
+            };
+            pairs.push(pair);
+        }
+        let (mut outs, mut ins) = (vec![0usize; n], vec![0usize; n]);
+        for &(s, d) in &pairs {
+            outs[s] += 1;
+            ins[d] += 1;
+        }
+        let mut last_ceil = None;
+        for &(s, d) in &pairs {
+            let ceil = match rng.index(10) {
+                0..=4 => None,
+                5 | 6 => Some(mbps(rng.range_f64(0.05, 10.0))),
+                7 if caps[s].0.is_finite() => {
+                    Some(Bandwidth::from_bytes_per_sec(caps[s].0 / outs[s] as f64))
+                }
+                7 => Some(Bandwidth::from_bytes_per_sec(caps[d].1 / ins[d] as f64)),
+                8 => Some(Bandwidth::ZERO),
+                _ => last_ceil,
+            };
+            last_ceil = ceil;
+            net.add_flow(NodeId(s as u32), NodeId(d as u32), ceil);
+        }
+        let members: Vec<u32> = (0..pairs.len() as u32).collect();
+        net.fill_candidates(&members, fill);
+        let rates = net.slots.iter().map(|s| s.flow.as_ref().unwrap().rate);
+        rates
+            .chain(net.util_up.iter().copied())
+            .chain(net.util_down.iter().copied())
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn side_fill_matches_reference_loop_bit_for_bit() {
+        for seed in 0..2_000 {
+            assert_eq!(
+                random_fill(seed, FlowNet::fill_component),
+                random_fill(seed, FlowNet::fill_component_reference),
+                "seed {seed}"
+            );
+        }
     }
 
     fn assert_close(a: Bandwidth, mbps_expected: f64) {

@@ -21,7 +21,7 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 stage "cargo test --workspace"
 cargo test -q --workspace
 
-stage "results reproduction (one paper run => every committed per-flow artifact)"
+stage "results reproduction (one paper run => every committed per-flow artifact + deterministic metrics halves)"
 # The committed results/ files are the oracle that licenses refactoring:
 # one `paper` run (17 simulated months, each entry at its committed scale)
 # must re-render every table, figure, the chaos campaign and the six
@@ -40,6 +40,14 @@ trap 'rm -rf "$tmp"' EXIT
 (cd "$tmp" && "$bin" >/dev/null 2>&1)
 for f in "$tmp"/results/*.txt "$tmp"/results/*.trace.json "$tmp"/results/alerts.json; do
     cmp "$f" "results/$(basename "$f")"
+done
+# The work, not only its outputs: the deterministic half of each metrics
+# sidecar (everything before its "volatile" key) pins FlowNet's recompute,
+# dirty-component and re-filled-flow counts next to every other counter.
+for m in paper chaos; do
+    sed '/"volatile"/,$d' "$tmp/results/$m.metrics.json" >"$tmp/$m.det.fresh"
+    sed '/"volatile"/,$d' "results/$m.metrics.json" >"$tmp/$m.det.committed"
+    cmp "$tmp/$m.det.fresh" "$tmp/$m.det.committed"
 done
 
 stage "alert coverage (every hybrid.fault.* counter ruled or allowlisted)"
