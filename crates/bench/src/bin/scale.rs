@@ -40,9 +40,11 @@
 //! parse time (`ScaledConfig::validate`) with an actionable error instead
 //! of a deep panic. Shards are contiguous sub-region blocks, so `K` may
 //! exceed the nine regions (up to `MAX_SHARDS`, and never above the
-//! population).
+//! population). An unknown flag, a flag without its value, a non-numeric
+//! value or an invalid effective config prints the message and the usage
+//! on stderr and exits 2.
 
-use netsession_bench::runner::{peak_rss_kb, write_file, write_result};
+use netsession_bench::runner::{flag_value, peak_rss_kb, write_file, write_result};
 use netsession_bench::schema;
 use netsession_core::time::SimDuration;
 use netsession_hybrid::alerts::{detected_classes, replay_standard_alerts, SeriesDetection};
@@ -133,85 +135,58 @@ fn timeseries_sidecar_json(
     s
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    // Overrides are collected first and applied after the base config is
-    // chosen, so `--shards 16 --smoke` and `--smoke --shards 16` mean the
-    // same thing (explicit flags always beat the smoke preset).
+const USAGE: &str = "usage: scale [--smoke] [--sequential|--parallel] [--chaos] \
+[--no-timeseries] [--peers N] [--days N] [--objects N] [--shards K] [--window-secs S] \
+[--seed S] [--profile-det-out F] [--timeseries-out F] | scale --lint F";
+
+/// What the command line asks for.
+#[derive(Debug)]
+enum Command {
+    /// Simulate the effective, validated config.
+    Run(RunArgs),
+    /// Validate the sidecar at this path and exit.
+    Lint(String),
+}
+
+#[derive(Debug)]
+struct RunArgs {
+    cfg: ScaledConfig,
+    parallel: bool,
+    det_out: Option<String>,
+    ts_out: Option<String>,
+}
+
+/// Parse `scale`'s flags (without the program name) into the effective,
+/// validated config. Overrides are collected first and applied after the
+/// base config is chosen, so `--shards 16 --smoke` and `--smoke --shards
+/// 16` mean the same thing (explicit flags always beat the smoke preset).
+/// `--lint F` ends the parse: the flags after it are not read.
+fn parse_args_from(argv: &[String]) -> Result<Command, String> {
     let mut smoke = false;
     let mut parallel = true;
     let mut chaos = false;
     let mut timeseries = true;
-    let mut det_out: Option<String> = None;
-    let mut ts_out: Option<String> = None;
-    let mut peers: Option<u64> = None;
-    let mut objects: Option<u64> = None;
-    let mut days: Option<u64> = None;
-    let mut shards: Option<usize> = None;
-    let mut window_secs: Option<u64> = None;
-    let mut seed: Option<u64> = None;
-    let mut i = 1;
-    let next = |argv: &[String], i: &mut usize, flag: &str| -> u64 {
-        let v = argv
-            .get(*i + 1)
-            .unwrap_or_else(|| panic!("{flag} <n>"))
-            .parse()
-            .unwrap_or_else(|_| panic!("{flag} <n>"));
-        *i += 2;
-        v
-    };
-    let next_str = |argv: &[String], i: &mut usize, flag: &str| -> String {
-        let v = argv
-            .get(*i + 1)
-            .unwrap_or_else(|| panic!("{flag} <path>"))
-            .clone();
-        *i += 2;
-        v
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--parallel" => {
-                parallel = true;
-                i += 1;
-            }
-            "--sequential" => {
-                parallel = false;
-                i += 1;
-            }
-            "--peers" => peers = Some(next(&argv, &mut i, "--peers")),
-            "--objects" => objects = Some(next(&argv, &mut i, "--objects")),
-            "--days" => days = Some(next(&argv, &mut i, "--days")),
-            "--shards" => shards = Some(next(&argv, &mut i, "--shards") as usize),
-            "--window-secs" => window_secs = Some(next(&argv, &mut i, "--window-secs")),
-            "--seed" => seed = Some(next(&argv, &mut i, "--seed")),
-            "--chaos" => {
-                chaos = true;
-                i += 1;
-            }
-            "--no-timeseries" => {
-                timeseries = false;
-                i += 1;
-            }
-            "--profile-det-out" => det_out = Some(next_str(&argv, &mut i, "--profile-det-out")),
-            "--timeseries-out" => ts_out = Some(next_str(&argv, &mut i, "--timeseries-out")),
-            "--lint" => {
-                let path = next_str(&argv, &mut i, "--lint");
-                match schema::validate_file(&path) {
-                    Ok(doc) => {
-                        println!("{} lint OK: {path}", doc.schema.tag);
-                        return;
-                    }
-                    Err(e) => {
-                        eprintln!("lint FAILED: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            other => panic!("unknown flag {other}"),
+    let (mut det_out, mut ts_out) = (None, None);
+    let (mut peers, mut objects, mut days, mut shards) = (None, None, None, None);
+    let (mut window_secs, mut seed) = (None::<u64>, None);
+    let mut it = argv.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--smoke" => smoke = true,
+            "--parallel" => parallel = true,
+            "--sequential" => parallel = false,
+            "--chaos" => chaos = true,
+            "--no-timeseries" => timeseries = false,
+            "--peers" => peers = Some(flag_value(a, it.next())?),
+            "--objects" => objects = Some(flag_value(a, it.next())?),
+            "--days" => days = Some(flag_value(a, it.next())?),
+            "--shards" => shards = Some(flag_value(a, it.next())?),
+            "--window-secs" => window_secs = Some(flag_value(a, it.next())?),
+            "--seed" => seed = Some(flag_value(a, it.next())?),
+            "--profile-det-out" => det_out = Some(flag_value(a, it.next())?),
+            "--timeseries-out" => ts_out = Some(flag_value(a, it.next())?),
+            "--lint" => return Ok(Command::Lint(flag_value(a, it.next())?)),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
 
@@ -226,34 +201,59 @@ fn main() {
             ..ScaledConfig::default()
         }
     };
-    if let Some(v) = peers {
-        cfg.peers = v;
+    cfg.peers = peers.unwrap_or(cfg.peers);
+    cfg.objects = objects.unwrap_or(cfg.objects);
+    cfg.days = days.unwrap_or(cfg.days);
+    cfg.shards = shards.unwrap_or(cfg.shards);
+    if let Some(s) = window_secs {
+        let us = s
+            .checked_mul(1_000_000)
+            .ok_or_else(|| format!("--window-secs: {s} s overflows the microsecond clock"))?;
+        cfg.window = SimDuration::from_micros(us);
     }
-    if let Some(v) = objects {
-        cfg.objects = v;
-    }
-    if let Some(v) = days {
-        cfg.days = v;
-    }
-    if let Some(v) = shards {
-        cfg.shards = v;
-    }
-    if let Some(v) = window_secs {
-        cfg.window = SimDuration::from_secs(v);
-    }
-    if let Some(v) = seed {
-        cfg.seed = v;
-    }
+    cfg.seed = seed.unwrap_or(cfg.seed);
     cfg.timeseries = timeseries;
+    // Validate the *effective* config here, where the error can name the
+    // flag to fix — not as a panic deep inside the world constructor.
+    // The campaign is built after, from a day count known to fit the clock.
+    cfg.validate()
+        .map_err(|e| format!("invalid configuration: {e}"))?;
     if chaos {
         cfg.faults = FaultSchedule::scaled_campaign(cfg.days);
     }
-    // Validate the *effective* config here, where the error can name the
-    // flag to fix — not as a panic deep inside the world constructor.
-    if let Err(e) = cfg.validate() {
-        eprintln!("scale: invalid configuration: {e}");
-        std::process::exit(2);
-    }
+    Ok(Command::Run(RunArgs {
+        cfg,
+        parallel,
+        det_out,
+        ts_out,
+    }))
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let RunArgs {
+        cfg,
+        parallel,
+        det_out,
+        ts_out,
+    } = match parse_args_from(&argv) {
+        Ok(Command::Run(args)) => args,
+        Ok(Command::Lint(path)) => match schema::validate_file(&path) {
+            Ok(doc) => {
+                println!("{} lint OK: {path}", doc.schema.tag);
+                return;
+            }
+            Err(e) => {
+                eprintln!("lint FAILED: {e}");
+                std::process::exit(1);
+            }
+        },
+        Err(e) => {
+            eprintln!("scale: {e}");
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     eprintln!(
         "# scale: {} peers, {} days, {} shards, {}",
@@ -401,4 +401,136 @@ fn main() {
         out.events as f64 / wall,
         peak_rss_kb().unwrap_or(0)
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn run(args: &[&str]) -> RunArgs {
+        match parse_args_from(&argv(args)) {
+            Ok(Command::Run(r)) => r,
+            other => panic!("{args:?} parsed to {other:?}"),
+        }
+    }
+
+    fn err(args: &[&str]) -> String {
+        match parse_args_from(&argv(args)) {
+            Err(e) => e,
+            Ok(c) => panic!("{args:?} parsed to {c:?}"),
+        }
+    }
+
+    #[test]
+    fn no_flags_is_the_committed_million_peer_run() {
+        let r = run(&[]);
+        assert_eq!(
+            (r.cfg.peers, r.cfg.objects, r.cfg.days, r.cfg.shards),
+            (1_000_000, 20_000, 31, 16)
+        );
+        assert_eq!(r.cfg.window, ScaledConfig::default().window);
+        assert!(r.parallel && r.cfg.timeseries && r.cfg.faults.is_empty());
+        assert_eq!((r.det_out, r.ts_out), (None, None));
+    }
+
+    #[test]
+    fn every_flag_reaches_the_config_in_any_order() {
+        let groups: [&[&str]; 13] = [
+            &["--smoke"],
+            &["--sequential"],
+            &["--chaos"],
+            &["--no-timeseries"],
+            &["--peers", "30000"],
+            &["--objects", "700"],
+            &["--days", "5"],
+            &["--shards", "12"],
+            &["--window-secs", "90"],
+            &["--seed", "7"],
+            &["--profile-det-out", "det.json"],
+            &["--timeseries-out", "ts.json"],
+            &["--parallel", "--sequential"],
+        ];
+        let n = groups.len();
+        // Every rotation, forwards and backwards: each flag appears first,
+        // last and on both sides of `--smoke`.
+        for rot in 0..n {
+            for reverse in [false, true] {
+                let mut order: Vec<usize> = (0..n).map(|i| (i + rot) % n).collect();
+                if reverse {
+                    order.reverse();
+                }
+                let args: Vec<&str> = order.iter().flat_map(|&g| groups[g].to_vec()).collect();
+                let r = run(&args);
+                let c = &r.cfg;
+                assert_eq!(
+                    (c.peers, c.objects, c.days, c.shards, c.seed),
+                    (30_000, 700, 5, 12, 7),
+                    "{args:?}"
+                );
+                assert_eq!(c.window, SimDuration::from_secs(90), "{args:?}");
+                assert!(!c.timeseries, "{args:?}");
+                assert_eq!(c.faults, FaultSchedule::scaled_campaign(5), "{args:?}");
+                assert!(!r.parallel, "{args:?}");
+                assert_eq!(r.det_out.as_deref(), Some("det.json"));
+                assert_eq!(r.ts_out.as_deref(), Some("ts.json"));
+            }
+        }
+    }
+
+    #[test]
+    fn smoke_preset_fills_what_no_flag_names() {
+        let smoke = ScaledConfig::smoke();
+        let r = run(&["--shards", "3", "--smoke"]);
+        assert_eq!(r.cfg.shards, 3);
+        assert_eq!(
+            (r.cfg.peers, r.cfg.objects, r.cfg.days),
+            (smoke.peers, smoke.objects, smoke.days)
+        );
+    }
+
+    #[test]
+    fn bad_flags_are_errors_not_panics() {
+        assert_eq!(err(&["--smoke", "--bogus"]), "unknown flag --bogus");
+        assert_eq!(err(&["bare"]), "unknown flag bare");
+        assert_eq!(err(&["--smoke", "--peers"]), "--peers needs a value");
+        assert_eq!(err(&["--timeseries-out"]), "--timeseries-out needs a value");
+        assert_eq!(err(&["--lint"]), "--lint needs a value");
+        assert_eq!(
+            err(&["--days", "many", "--smoke"]),
+            "--days: \"many\" is not a number"
+        );
+        assert_eq!(err(&["--shards", "-1"]), "--shards: \"-1\" is not a number");
+    }
+
+    #[test]
+    fn zero_or_overflowing_window_is_rejected() {
+        let zero = err(&["--smoke", "--window-secs", "0"]);
+        assert!(zero.contains("window must be > 0"), "{zero}");
+        let huge = err(&["--smoke", "--window-secs", &u64::MAX.to_string()]);
+        assert!(huge.contains("overflows"), "{huge}");
+        // 10^13 s is 10^19 µs: it fits a u64, but the windows after the
+        // first would wrap the clock.
+        let wide = err(&["--smoke", "--window-secs", "10000000000000"]);
+        assert!(wide.contains("overflow the microsecond clock"), "{wide}");
+    }
+
+    #[test]
+    fn invalid_effective_config_is_an_error() {
+        let e = err(&["--smoke", "--peers", "3", "--shards", "4"]);
+        assert!(e.starts_with("invalid configuration: "), "{e}");
+        let e = err(&["--chaos", "--days", &u64::MAX.to_string()]);
+        assert!(e.contains("overflow the microsecond clock"), "{e}");
+    }
+
+    #[test]
+    fn lint_ends_the_parse() {
+        match parse_args_from(&argv(&["--smoke", "--lint", "f.json", "--bogus"])) {
+            Ok(Command::Lint(p)) => assert_eq!(p, "f.json"),
+            other => panic!("{other:?}"),
+        }
+    }
 }

@@ -60,23 +60,27 @@ impl Overrides {
     }
 }
 
+/// The value `v` that follows `flag` on a command line, parsed as `T`, or
+/// the message naming what is wrong with it (missing, or not a number; a
+/// `String` value always parses).
+pub fn flag_value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+    let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag}: {v:?} is not a number"))
+}
+
 /// Parse `--scale <peers>`, `--downloads <n>`, `--seed <s>` and positional
 /// experiment names (in any order) from the arguments after the program
 /// name.
 pub fn parse_args_from(argv: &[String]) -> Result<(Overrides, Vec<String>), String> {
-    fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
-        let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
-        v.parse()
-            .map_err(|_| format!("{flag}: {v:?} is not a number"))
-    }
     let mut flags = Overrides::default();
     let mut names = Vec::new();
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => flags.peers = Some(value(a, it.next())?),
-            "--downloads" => flags.downloads = Some(value(a, it.next())?),
-            "--seed" => flags.seed = Some(value(a, it.next())?),
+            "--scale" => flags.peers = Some(flag_value(a, it.next())?),
+            "--downloads" => flags.downloads = Some(flag_value(a, it.next())?),
+            "--seed" => flags.seed = Some(flag_value(a, it.next())?),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
             _ => names.push(a.clone()),
         }

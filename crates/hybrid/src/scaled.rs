@@ -64,10 +64,14 @@ use netsession_obs::profile::ShardProfiler;
 use netsession_obs::timeseries::{merge_shards, MergedSeries, SeriesSpec, ShardSeries};
 use netsession_obs::MetricsRegistry;
 use netsession_sim::shard::{BlockPartition, Outbox, ShardRunner, ShardWorker};
+use netsession_sim::{BinaryHeapSched, EventSched, TimingWheel};
 use netsession_world::geo::Region;
 use std::sync::Arc;
 
 const DAY_US: u64 = 86_400_000_000;
+/// The longest run [`ScaledConfig::validate`] admits, in µs (≈292k years):
+/// half the clock, so that nothing a run schedules past it can overflow.
+const CLOCK_LIMIT_US: u64 = u64::MAX / 2;
 const HOUR_US: u64 = 3_600_000_000;
 
 /// Hard ceiling on sub-region shard count. Far above any plausible core
@@ -281,6 +285,28 @@ impl ScaledConfig {
                 "shards ({}) must not exceed peers ({}): every sub-region block \
                  needs at least one peer — lower --shards or raise --peers",
                 self.shards, self.peers
+            ));
+        }
+        if self.window.as_micros() == 0 {
+            return Err("window must be > 0: it is the shards' conservative \
+                 lookahead, and a zero window never advances virtual time"
+                .into());
+        }
+        // Windows run past the last day while downloads finish and mail
+        // lands (mail is due a window after its send, its window ends one
+        // more on), so the clock must hold the horizon plus two windows,
+        // with the other half of it left for downloads still running.
+        let span = self
+            .days
+            .checked_mul(DAY_US)
+            .zip(self.window.as_micros().checked_mul(2))
+            .and_then(|(horizon, windows)| horizon.checked_add(windows));
+        if span.is_none_or(|s| s > CLOCK_LIMIT_US) {
+            return Err(format!(
+                "days ({}) and window ({} µs) overflow the microsecond clock: \
+                 days × 1 day + 2 × window must be at most {CLOCK_LIMIT_US} µs",
+                self.days,
+                self.window.as_micros()
             ));
         }
         if !(0.0..=1.0).contains(&self.daily_login_prob) {
@@ -1378,12 +1404,7 @@ pub fn run_scaled_profiled(
     registry: Option<&MetricsRegistry>,
     profiler: Option<ShardProfiler>,
 ) -> (ScaledOutput, Option<ShardProfiler>) {
-    let run = if parallel {
-        ShardRunner::run_parallel
-    } else {
-        ShardRunner::run_sequential
-    };
-    run_scaled_with(cfg, run, registry, profiler)
+    run_scaled_with(cfg, (!parallel).then_some(1), registry, profiler)
 }
 
 /// [`run_scaled_profiled`] on a pool of `threads` (clamped to
@@ -1397,12 +1418,37 @@ pub fn run_scaled_on(
     registry: Option<&MetricsRegistry>,
     profiler: Option<ShardProfiler>,
 ) -> (ScaledOutput, Option<ShardProfiler>) {
-    run_scaled_with(cfg, |runner| runner.run_on(threads), registry, profiler)
+    run_scaled_with(cfg, Some(threads), registry, profiler)
 }
 
+/// Peers per shard above which the shards' queues run on the timing wheel
+/// rather than the binary heap. A shard's queue holds about four pending
+/// events per hundred of its peers. Measured on a 2-CPU host, the heap is
+/// faster at up to 62.5k peers per shard (the committed 1M run: −20 %),
+/// the two tie at 62.5k–100k (~4k pending) in 3-day runs, and the wheel
+/// is faster from 150k on, by up to ~20 % at the 1.6M per shard of the
+/// 25.9M-GUID run (`docs/PERFORMANCE.md`, "The event-queue backend").
+/// Both pop in the same order, so the choice moves no event.
+const WHEEL_PEERS_PER_SHARD: u64 = 100_000;
+
+/// Run on a pool of `threads` (`None`: one sized to the host), each
+/// shard's queue on the backend its peer count calls for.
 fn run_scaled_with(
     cfg: &ScaledConfig,
-    run: impl FnOnce(&mut ShardRunner<ScaledShard>),
+    threads: Option<usize>,
+    registry: Option<&MetricsRegistry>,
+    profiler: Option<ShardProfiler>,
+) -> (ScaledOutput, Option<ShardProfiler>) {
+    if cfg.peers.div_ceil(cfg.shards as u64) > WHEEL_PEERS_PER_SHARD {
+        run_scaled_on_backend::<TimingWheel<_>>(cfg, threads, registry, profiler)
+    } else {
+        run_scaled_on_backend::<BinaryHeapSched<_>>(cfg, threads, registry, profiler)
+    }
+}
+
+fn run_scaled_on_backend<S: EventSched<ScaledEvent> + Default + Send>(
+    cfg: &ScaledConfig,
+    threads: Option<usize>,
     registry: Option<&MetricsRegistry>,
     profiler: Option<ShardProfiler>,
 ) -> (ScaledOutput, Option<ShardProfiler>) {
@@ -1410,7 +1456,7 @@ fn run_scaled_with(
     let shards: Vec<ScaledShard> = (0..cfg.shards)
         .map(|k| ScaledShard::new(Arc::clone(&world), k))
         .collect();
-    let mut runner = ShardRunner::new(shards, cfg.window);
+    let mut runner = ShardRunner::<_, S>::with_backend(shards, cfg.window);
     for k in 0..cfg.shards {
         runner.seed(k, SimTime::ZERO, ScaledEvent::DayStart { day: 0 });
     }
@@ -1439,7 +1485,10 @@ fn run_scaled_with(
         runner.attach_profiler(p);
     }
 
-    run(&mut runner);
+    match threads {
+        Some(threads) => runner.run_on(threads),
+        None => runner.run_parallel(),
+    }
 
     let profiler = runner.take_profiler();
     if let Some(reg) = registry {
@@ -1583,6 +1632,19 @@ mod tests {
     }
 
     #[test]
+    fn queue_backend_moves_no_event() {
+        let cfg = ScaledConfig {
+            faults: FaultSchedule::scaled_campaign(3),
+            ..tiny()
+        };
+        for threads in [1, 3] {
+            let heap = run_scaled_on_backend::<BinaryHeapSched<_>>(&cfg, Some(threads), None, None);
+            let wheel = run_scaled_on_backend::<TimingWheel<_>>(&cfg, Some(threads), None, None);
+            assert_eq!(heap.0, wheel.0, "x{threads}");
+        }
+    }
+
+    #[test]
     fn tallies_do_not_depend_on_the_shard_count() {
         // Sharding is pure geometry: per-region record *contents* are
         // content-keyed, so every tally (and the streamed summary) must be
@@ -1626,6 +1688,43 @@ mod tests {
             .unwrap_err()
             .contains("must not exceed peers"));
         assert!(tiny().validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_window_and_an_overflowing_horizon() {
+        let zero = ScaledConfig {
+            window: SimDuration::ZERO,
+            ..tiny()
+        };
+        assert!(zero.validate().unwrap_err().contains("window must be > 0"));
+        let endless = ScaledConfig {
+            days: u64::MAX / DAY_US + 1,
+            ..tiny()
+        };
+        assert!(endless.validate().unwrap_err().contains("overflow"));
+        // A window wider than half the clock: each fits a u64 alone, but
+        // the windows after the first would wrap it.
+        let wide = ScaledConfig {
+            window: SimDuration::from_micros(10_000_000_000_000 * 1_000_000),
+            ..tiny()
+        };
+        assert!(wide.validate().unwrap_err().contains("overflow"));
+        let longest = ScaledConfig {
+            days: 1,
+            window: SimDuration::from_micros((CLOCK_LIMIT_US - DAY_US) / 2),
+            ..tiny()
+        };
+        assert!(longest.validate().is_ok());
+        let past_it = ScaledConfig {
+            window: SimDuration::from_micros(longest.window.as_micros() + 1),
+            ..longest.clone()
+        };
+        assert!(past_it.validate().is_err());
+        let one_us = ScaledConfig {
+            window: SimDuration::from_micros(1),
+            ..tiny()
+        };
+        assert!(one_us.validate().is_ok());
     }
 
     #[test]

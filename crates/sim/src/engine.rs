@@ -8,9 +8,11 @@
 //!
 //! The ordering contract lives here; the *storage* lives behind the
 //! [`EventSched`] trait in [`crate::queue`]. The default backend is a
-//! hierarchical [`TimingWheel`] (O(1) schedule, amortized O(levels) pop);
-//! [`OracleEventQueue`] runs on the original [`BinaryHeapSched`] and is kept
-//! as the bit-identical oracle for property tests and A/B benchmarks.
+//! hierarchical [`TimingWheel`] (O(1) schedule, amortized O(levels) pop),
+//! which `HybridSim`'s deep queue runs on; [`OracleEventQueue`] runs on the
+//! original [`BinaryHeapSched`], the bit-identical oracle for property
+//! tests and A/B benchmarks and the sharded runner's default per-shard
+//! queue.
 //!
 //! The queue intentionally has no callback machinery: the simulation driver
 //! owns a `match` over its event enum, which keeps borrow-checking trivial
@@ -44,7 +46,11 @@ pub struct EventQueue<E, S: EventSched<E> = TimingWheel<E>> {
 }
 
 /// The event queue on its original binary-heap backend — the correctness
-/// oracle the timing wheel is property-tested against.
+/// oracle the timing wheel is property-tested against, and the backend
+/// [`ShardRunner::new`](crate::shard::ShardRunner::new) gives each shard:
+/// at a shard's usual depth of a few thousand events or fewer the heap's
+/// sift is cheaper than the wheel's cascades and slot scans
+/// (`docs/PERFORMANCE.md`).
 pub type OracleEventQueue<E> = EventQueue<E, BinaryHeapSched<E>>;
 
 impl<E, S: EventSched<E> + Default> Default for EventQueue<E, S> {

@@ -8,13 +8,21 @@
 //! * [`BinaryHeapSched`] — the original binary heap. Simple, obviously
 //!   correct, and kept as the *oracle*: property tests replay hundreds of
 //!   seeded schedules against it to prove any other backend produces a
-//!   bit-identical pop stream.
+//!   bit-identical pop stream. It is also the default queue of every shard
+//!   in [`crate::shard::ShardRunner`]: a shard of the scaled runner
+//!   typically holds a few hundred to a few thousand pending events, and
+//!   at that depth an O(log n) sift is cheaper than the wheel's cascades.
 //! * [`TimingWheel`] — a hierarchical timing wheel (8 levels × 64 slots,
 //!   1 µs ticks, ≈8.9 simulated years of horizon). Scheduling is O(1) and
 //!   popping is amortized O(levels), versus O(log n) for the heap; on the
 //!   headline run (~900 k events, queue depth ~780 k) the wheel removes the
-//!   heap's cache-hostile sift traffic from the hot loop. Selected as the
-//!   default backend by benchmark (see `docs/PERFORMANCE.md`).
+//!   heap's cache-hostile sift traffic from the hot loop, so it is
+//!   [`EventQueue`](crate::engine::EventQueue)'s default and `HybridSim`'s
+//!   queue. Shallow queues whose events lie minutes to hours ahead are its
+//!   worst case: each entry is re-placed at every level it passes on the
+//!   way down, and [`EventSched::peek_time`] scans a whole higher-level
+//!   slot for its minimum. Which backend each runner uses, with the
+//!   measurements, is in `docs/PERFORMANCE.md` ("The event-queue backend").
 //!
 //! # Timing-wheel placement
 //!

@@ -4,11 +4,12 @@
 //! Chandy–Misra style, specialized to the structure our workload actually
 //! has: state is partitioned into shards (FlowNet union-find components, or
 //! the Table-2 region key as the coarse fallback), each shard owns a private
-//! [`EventQueue`], and virtual time advances in fixed *windows* of length
-//! `W`. Within a window a shard processes only its own events; anything it
-//! wants another shard to see is a **cross-shard message** with delivery
-//! time at least one window away (lookahead ≥ `W`), exchanged at the
-//! window barrier. That lookahead is what makes the parallel execution
+//! [`EventQueue`] (on the binary heap unless the caller picks the timing
+//! wheel for deep shards), and virtual time advances in fixed *windows* of
+//! length `W`. Within a window a shard processes only its own events;
+//! anything it wants another shard to see is a **cross-shard message** with
+//! delivery time at least one window away (lookahead ≥ `W`), exchanged at
+//! the window barrier. That lookahead is what makes the parallel execution
 //! conservative: when a shard processes window `[t, t+W)` it has already
 //! received every message that could possibly land there.
 //!
@@ -55,6 +56,7 @@
 //! size is not a setting.
 
 use crate::engine::EventQueue;
+use crate::queue::{BinaryHeapSched, EventSched};
 use netsession_core::time::{SimDuration, SimTime};
 use netsession_obs::profile::{ShardProfiler, WindowTiming};
 use netsession_obs::MetricsRegistry;
@@ -219,9 +221,17 @@ pub struct ShardStats {
 /// The sharded runner: owns the shards' workers, queues and mailboxes —
 /// during a run too, whose pool threads only borrow them — and coordinates
 /// the barrier exchange.
-pub struct ShardRunner<W: ShardWorker> {
+///
+/// Each shard's queue runs on the backend `S`: the binary heap by default,
+/// which beats the timing wheel at the few thousand pending events of a
+/// typical shard. Both honour the same `(at, seq)` order, so the backend
+/// moves no event; see `docs/PERFORMANCE.md` for where each one wins.
+pub struct ShardRunner<
+    W: ShardWorker,
+    S: EventSched<W::Event> = BinaryHeapSched<<W as ShardWorker>::Event>,
+> {
     workers: Vec<W>,
-    queues: Vec<Padded<EventQueue<W::Event>>>,
+    queues: Vec<Padded<EventQueue<W::Event, S>>>,
     window: SimDuration,
     stats: Vec<ShardStats>,
     /// Mail routed but not yet due, per destination shard.
@@ -291,9 +301,9 @@ fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
 /// One shard as a run sees it: the runner's state for the shard, borrowed
 /// for the run, the buffers its steps reuse, and the report of its last
 /// step. Stepped by one pool thread; read by the leader between windows.
-struct Lane<'r, W: ShardWorker> {
+struct Lane<'r, W: ShardWorker, S: EventSched<W::Event>> {
     worker: &'r mut W,
-    queue: &'r mut EventQueue<W::Event>,
+    queue: &'r mut EventQueue<W::Event, S>,
     mailbox: &'r mut Mailbox<W::Event>,
     /// `out.cross` carries a window's sends to the leader.
     out: Outbox<W::Event>,
@@ -309,12 +319,12 @@ struct Lane<'r, W: ShardWorker> {
     busy_ns: u64,
 }
 
-impl<'r, W: ShardWorker> Lane<'r, W> {
+impl<'r, W: ShardWorker, S: EventSched<W::Event>> Lane<'r, W, S> {
     fn new(
         shard: usize,
         n_shards: usize,
         worker: &'r mut W,
-        queue: &'r mut EventQueue<W::Event>,
+        queue: &'r mut EventQueue<W::Event, S>,
         mailbox: &'r mut Mailbox<W::Event>,
     ) -> Self {
         Lane {
@@ -464,9 +474,9 @@ impl Barrier {
 }
 
 /// What the leader hands a follower for one window and takes back after it.
-struct Job<'r, W: ShardWorker> {
+struct Job<'r, W: ShardWorker, S: EventSched<W::Event>> {
     window_end: SimTime,
-    lanes: Vec<Lane<'r, W>>,
+    lanes: Vec<Lane<'r, W, S>>,
     panic: Option<ShardPanic>,
 }
 
@@ -474,21 +484,21 @@ const SLOT: &str = "a slot is locked only to move a job, never across worker cod
 
 /// One run's threads: the leader, which calls [`Pool::window`], and one
 /// follower per slot, each inside [`Pool::follow`].
-struct Pool<'r, W: ShardWorker> {
+struct Pool<'r, W: ShardWorker, S: EventSched<W::Event>> {
     barrier: Barrier,
     /// Where leader and follower leave a [`Job`] for each other; the
     /// barrier phases keep them from wanting it at the same time.
-    slots: Vec<Mutex<Option<Job<'r, W>>>>,
+    slots: Vec<Mutex<Option<Job<'r, W, S>>>>,
     /// See [`elapsed_ns`].
     clock: Option<Instant>,
 }
 
-impl<'r, W: ShardWorker> Pool<'r, W> {
+impl<'r, W: ShardWorker, S: EventSched<W::Event>> Pool<'r, W, S> {
     /// Both barrier phases of one window: release `sets[t]` to thread `t`,
     /// step the leader's own `sets[0]`, collect the lanes back. A lone
     /// leader touches neither barrier nor lock. Returns the window's
     /// lowest-indexed worker panic.
-    fn window(&self, sets: &mut [Vec<Lane<'r, W>>], window_end: SimTime) -> Option<ShardPanic> {
+    fn window(&self, sets: &mut [Vec<Lane<'r, W, S>>], window_end: SimTime) -> Option<ShardPanic> {
         let (mine, theirs) = sets.split_first_mut().expect("thread 0 is the leader");
         for (slot, lanes) in self.slots.iter().zip(theirs.iter_mut()) {
             *slot.lock().expect(SLOT) = Some(Job {
@@ -520,7 +530,7 @@ impl<'r, W: ShardWorker> Pool<'r, W> {
 
     /// A follower's whole run: step what the leader left in `slot` between
     /// a window's two barrier phases, until a release finds it empty.
-    fn follow(&self, slot: &Mutex<Option<Job<'r, W>>>) {
+    fn follow(&self, slot: &Mutex<Option<Job<'r, W, S>>>) {
         loop {
             self.barrier.wait();
             let Some(mut job) = slot.lock().expect(SLOT).take() else {
@@ -537,8 +547,8 @@ impl<'r, W: ShardWorker> Pool<'r, W> {
 /// worker ends the thread's window there, as it would the sequential
 /// oracle's, and comes back as a value: its thread must still reach the
 /// barrier.
-fn step_lanes<W: ShardWorker>(
-    lanes: &mut [Lane<'_, W>],
+fn step_lanes<W: ShardWorker, S: EventSched<W::Event>>(
+    lanes: &mut [Lane<'_, W, S>],
     window_end: SimTime,
     clock: Option<Instant>,
 ) -> Option<ShardPanic> {
@@ -553,8 +563,16 @@ fn step_lanes<W: ShardWorker>(
 
 impl<W: ShardWorker> ShardRunner<W> {
     /// Build a runner over `workers`, one shard each, with conservative
-    /// window length `window` (must be nonzero).
+    /// window length `window` (must be nonzero), its queues on the binary
+    /// heap.
     pub fn new(workers: Vec<W>, window: SimDuration) -> Self {
+        Self::with_backend(workers, window)
+    }
+}
+
+impl<W: ShardWorker, S: EventSched<W::Event> + Default + Send> ShardRunner<W, S> {
+    /// [`ShardRunner::new`] with every shard's queue on the backend `S`.
+    pub fn with_backend(workers: Vec<W>, window: SimDuration) -> Self {
         assert!(window.as_micros() > 0, "window must be positive");
         let n = workers.len();
         assert!(n > 0, "at least one shard");
@@ -711,7 +729,7 @@ impl<W: ShardWorker> ShardRunner<W> {
         };
 
         // Shard k is lane k / T of thread k mod T for the whole run.
-        let mut sets: Vec<Vec<Lane<'_, W>>> = (0..threads).map(|_| Vec::new()).collect();
+        let mut sets: Vec<Vec<Lane<'_, W, S>>> = (0..threads).map(|_| Vec::new()).collect();
         let shards = workers.iter_mut().zip(queues).zip(mailboxes);
         for (k, ((worker, queue), mailbox)) in shards.enumerate() {
             sets[k % threads].push(Lane::new(k, n, worker, &mut queue.0, mailbox));

@@ -116,6 +116,23 @@ if [ -e results/scale.timeseries.json ]; then
     "$scale_bin" --lint results/scale.timeseries.json
 fi
 
+stage "scale reproduction (committed 1M x 31 d x 16-shard --chaos run => results/scale.{txt,timeseries.json} + deterministic halves)"
+# The smoke stages above prove seq == par at 20k peers; only this one pins
+# the committed run itself, so a scaled.rs or shard.rs change that moves
+# peer_efficiency (or any counter, window or mail total) fails here. Same
+# command and defaults as the committed run (parallel), in its own
+# directory so the smoke sidecars above stay where they are. The profile's
+# and the metrics' "volatile" sections are wall-clock and not compared.
+mkdir "$tmp/scale_full"
+(cd "$tmp/scale_full" && "$scale_bin" --chaos >scale.txt 2>/dev/null)
+cmp "$tmp/scale_full/scale.txt" results/scale.txt
+cmp "$tmp/scale_full/results/scale.timeseries.json" results/scale.timeseries.json
+for m in metrics profile; do
+    sed '/"volatile"/,$d' "$tmp/scale_full/results/scale.$m.json" >"$tmp/scale_full/$m.det.fresh"
+    sed '/"volatile"/,$d' "results/scale.$m.json" >"$tmp/scale_full/$m.det.committed"
+    cmp "$tmp/scale_full/$m.det.fresh" "$tmp/scale_full/$m.det.committed"
+done
+
 stage "perf trajectory (perfbench --trend: every snapshot passes schema.rs, BENCH_15 present)"
 # Trajectory table from every committed BENCH_*.json, each validated
 # against the perfbench table in crates/bench/src/schema.rs (the fields
