@@ -14,7 +14,8 @@
 //!   timing section (busy / barrier-wait / merge wall time);
 //! - `scale.shardtrace.json` — Perfetto/Chrome timeline, one track per
 //!   shard, slices named busy/wait/merge — plus virtual-time counter
-//!   tracks for the merged time series;
+//!   tracks for the merged time series. It holds wall-clock timings, so
+//!   it is written as a local sample and not committed;
 //! - `scale.timeseries.json` — `netsession-timeseries/1`: the merged
 //!   per-(metric, region) sim-hour series, the structured injected-fault
 //!   log, and the `AlertEngine` detections replayed over the series.

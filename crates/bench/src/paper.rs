@@ -22,18 +22,18 @@ use netsession_hybrid::{HybridSim, ScenarioConfig, SimOutput};
 use netsession_world::customers::{customer_by_cp, customer_by_name, CUSTOMERS};
 use netsession_world::geo::{continent_of, Continent, Region, WORLD_COUNTRIES};
 use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::runner::{config_for, pct, ExperimentArgs, Overrides};
 
 /// What one month changes in the standard config.
 pub type Delta = fn(&mut ScenarioConfig);
 
-/// An entry's renderer: pulls its months in `runs` order (each is simulated
-/// when pulled unless an earlier reader left it behind, and freed when the
-/// renderer lets go of it unless a later reader needs it) and returns one
-/// text per output file, `<name>.txt` first, then `extra` in order.
-pub type Render = fn(&mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String>;
+/// An entry's renderer: pulls its months in `runs` order (each is freed
+/// when the renderer lets go of it unless a later reader needs it) and
+/// returns one text per output file, `<name>.txt` first, then `extra` in
+/// order.
+pub type Render = fn(&mut dyn Iterator<Item = Arc<SimOutput>>) -> Vec<String>;
 
 /// One simulated month an entry reads.
 pub struct Run {
@@ -230,10 +230,8 @@ pub struct PlannedRun {
     pub config: ScenarioConfig,
     /// Stem its telemetry pair is written under, if any reader commits it.
     pub sidecars: Option<&'static str>,
-    /// Reads of it still to come.
+    /// Entry runs that read it.
     reads: usize,
-    /// Its output, once simulated and while `reads` is not zero.
-    held: Option<Rc<SimOutput>>,
 }
 
 /// The selected entries and the distinct months they read: two runs whose
@@ -262,7 +260,6 @@ pub fn plan(selected: &[&'static Experiment], flags: &Overrides) -> Plan {
                         config,
                         sidecars: None,
                         reads: 0,
-                        held: None,
                     });
                     runs.len() - 1
                 });
@@ -276,53 +273,177 @@ pub fn plan(selected: &[&'static Experiment], flags: &Overrides) -> Plan {
 }
 
 impl Plan {
-    /// Walk the entries in order. An entry's months are simulated as its
-    /// renderer pulls them, and a month is held only until its last read,
-    /// so a sweep keeps one month alive at a time (plus any a later entry
+    /// Walk the entries in order while a scoped pool of
+    /// `available_parallelism()` workers simulates the months in first-use
+    /// order. A month is a pure function of its config, so which worker
+    /// runs it, and when, changes no byte. A worker starts a month only
+    /// while it lies less than one pool width past the furthest month the
+    /// walk has asked for, so at most that many finished months wait
+    /// unread; after its first read a month is held only until its last, so
+    /// a sweep keeps few months alive at a time (plus any a later entry
     /// shares). `emit(file, text, echo)` receives every file to write
     /// under `results/` — per entry, the telemetry pairs of the months it
-    /// simulated, then its outputs — with `echo` set on `<name>.txt`,
+    /// read first, then its outputs — with `echo` set on `<name>.txt`,
     /// which the `paper` binary also prints.
     pub fn execute<E>(
         self,
         mut emit: impl FnMut(&str, &str, bool) -> Result<(), E>,
     ) -> Result<(), E> {
-        let Plan { mut runs, entries } = self;
-        for (exp, reads) in &entries {
-            let mut sidecars = Vec::new();
-            let mut months = reads.iter().map(|&i| {
-                let run = &mut runs[i];
-                run.reads -= 1;
-                let out = run.held.take().unwrap_or_else(|| {
-                    let out = Rc::new(HybridSim::run_config(run.config.clone()));
-                    if let Some(stem) = run.sidecars {
-                        // The full snapshot (volatile wall-clock section
-                        // included) and the sampled download traces as
-                        // Chrome trace-event JSON (deterministic: same
-                        // seed, same bytes) for Perfetto and `trace_explain`.
-                        sidecars.push((
-                            format!("{stem}.metrics.json"),
-                            out.metrics.full_snapshot_json(),
-                        ));
-                        sidecars
-                            .push((format!("{stem}.trace.json"), out.trace.export_chrome_json()));
+        let Plan { runs, entries } = self;
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(runs.len());
+        let pool = Pool {
+            runs: &runs,
+            window: workers,
+            state: Mutex::new(PoolState {
+                next: 0,
+                wanted: 0,
+                done: runs.iter().map(|_| None).collect(),
+                stop: false,
+                failed: false,
+            }),
+            changed: Condvar::new(),
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| pool.work());
+            }
+            let _halt = Halt {
+                pool: &pool,
+                always: true,
+            };
+            let mut left: Vec<usize> = runs.iter().map(|r| r.reads).collect();
+            let mut held: Vec<Option<Arc<SimOutput>>> = vec![None; runs.len()];
+            for (exp, reads) in &entries {
+                let mut sidecars = Vec::new();
+                let mut months = reads.iter().map(|&i| {
+                    left[i] -= 1;
+                    let out = held[i].take().unwrap_or_else(|| {
+                        let (out, files) = pool.take(i);
+                        sidecars.extend(files);
+                        out
+                    });
+                    if left[i] > 0 {
+                        held[i] = Some(out.clone());
                     }
                     out
                 });
-                if run.reads > 0 {
-                    run.held = Some(out.clone());
+                let texts = (exp.render)(&mut months);
+                for (file, text) in &sidecars {
+                    emit(file, text, false)?;
                 }
-                out
+                for (n, (file, text)) in exp.outputs().zip(&texts).enumerate() {
+                    emit(&file, text, n == 0)?;
+                }
+            }
+            Ok(())
+        })
+    }
+}
+
+/// The pool's lock is poisoned only once another thread has panicked.
+const POISONED: &str = "a paper thread panicked holding the month pool's lock";
+
+/// A simulated month and the telemetry files it commits, if any.
+type Simulated = (Arc<SimOutput>, Vec<(String, String)>);
+
+/// The months of a [`Plan`], simulated ahead of the walk by a worker pool.
+struct Pool<'a> {
+    runs: &'a [PlannedRun],
+    /// How far past the furthest month asked for a worker may start one.
+    window: usize,
+    state: Mutex<PoolState>,
+    changed: Condvar,
+}
+
+struct PoolState {
+    /// The month the next free worker starts.
+    next: usize,
+    /// One past the furthest month the walk has asked for.
+    wanted: usize,
+    /// Finished months the walk has not taken yet.
+    done: Vec<Option<Simulated>>,
+    /// The walk is over: start no more months.
+    stop: bool,
+    /// A worker panicked, so its month never arrives.
+    failed: bool,
+}
+
+impl Pool<'_> {
+    fn work(&self) {
+        let _halt = Halt {
+            pool: self,
+            always: false,
+        };
+        let mut st = self.state.lock().expect(POISONED);
+        loop {
+            while !st.stop && st.next < self.runs.len() && st.next >= st.wanted + self.window {
+                st = self.changed.wait(st).expect(POISONED);
+            }
+            if st.stop || st.next == self.runs.len() {
+                return;
+            }
+            let i = st.next;
+            st.next += 1;
+            drop(st);
+            let run = &self.runs[i];
+            let out = Arc::new(HybridSim::run_config(run.config.clone()));
+            // The full snapshot (volatile wall-clock section included) and
+            // the sampled download traces as Chrome trace-event JSON
+            // (deterministic: same seed, same bytes) for Perfetto and
+            // `trace_explain`.
+            let files = run.sidecars.map_or_else(Vec::new, |stem| {
+                vec![
+                    (
+                        format!("{stem}.metrics.json"),
+                        out.metrics.full_snapshot_json(),
+                    ),
+                    (format!("{stem}.trace.json"), out.trace.export_chrome_json()),
+                ]
             });
-            let texts = (exp.render)(&mut months);
-            for (file, text) in &sidecars {
-                emit(file, text, false)?;
-            }
-            for (n, (file, text)) in exp.outputs().zip(&texts).enumerate() {
-                emit(&file, text, n == 0)?;
-            }
+            st = self.state.lock().expect(POISONED);
+            st.done[i] = Some((out, files));
+            self.changed.notify_all();
         }
-        Ok(())
+    }
+
+    /// Month `i`, once a worker has finished it. The walk takes each month
+    /// once, at its first read.
+    fn take(&self, i: usize) -> Simulated {
+        let mut st = self.state.lock().expect(POISONED);
+        st.wanted = st.wanted.max(i + 1);
+        self.changed.notify_all();
+        loop {
+            if let Some(month) = st.done[i].take() {
+                return month;
+            }
+            assert!(!st.failed, "a worker panicked before month {i} finished");
+            st = self.changed.wait(st).expect(POISONED);
+        }
+    }
+}
+
+/// Stops the pool when dropped — always for the walk, on a panic for a
+/// worker — so no thread waits for a month that will never come.
+struct Halt<'p, 'a> {
+    pool: &'p Pool<'a>,
+    always: bool,
+}
+
+impl Drop for Halt<'_, '_> {
+    fn drop(&mut self) {
+        let panicking = std::thread::panicking();
+        if self.always || panicking {
+            let mut st = self
+                .pool
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            st.stop = true;
+            st.failed |= panicking;
+            self.pool.changed.notify_all();
+        }
     }
 }
 

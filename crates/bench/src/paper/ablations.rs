@@ -10,7 +10,7 @@ use netsession_core::rng::DetRng;
 use netsession_hybrid::SimOutput;
 use netsession_logs::records::DownloadOutcome;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// A1 — locality-aware selection vs random selection.
 ///
@@ -18,7 +18,7 @@ use std::rc::Rc;
 /// simple locality-aware selection strategy avoids burdening ISPs. This
 /// ablation turns the locality ladder off and measures intra-AS share and
 /// cross-region traffic.
-pub(super) fn locality(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+pub(super) fn locality(months: &mut dyn Iterator<Item = Arc<SimOutput>>) -> Vec<String> {
     let mut txt = String::new();
     txt += "A1: impact of locality-aware peer selection\n";
     txt += &format!(
@@ -62,7 +62,7 @@ pub(super) fn locality(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<S
 /// the difference." Turning the backstop off should crater completion and
 /// speed for unlucky downloads; the BitTorrent baseline shows the same
 /// failure mode independently.
-pub(super) fn backstop(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+pub(super) fn backstop(months: &mut dyn Iterator<Item = Arc<SimOutput>>) -> Vec<String> {
     let mut txt = String::new();
     txt += "A2: the infrastructure backstop\n";
     txt += &format!(
@@ -131,7 +131,7 @@ pub(super) fn backstop(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<S
 /// times a peer will upload a file it has locally cached." Removing the
 /// cap should skew upload volume toward a smaller set of (high-upstream)
 /// peers and ASes.
-pub(super) fn uploadcap(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+pub(super) fn uploadcap(months: &mut dyn Iterator<Item = Arc<SimOutput>>) -> Vec<String> {
     let mut txt = String::new();
     txt += "A3: the per-object upload cap\n";
     txt += &format!(
@@ -178,7 +178,7 @@ pub(super) fn uploadcap(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<
 /// to 5/10/20/40 and re-simulates. Paper shape: ~80 % efficiency is
 /// generally reached with about 25–30 peers, consistent with BitTorrent
 /// needing a few tens of peers.
-pub(super) fn peerlist(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+pub(super) fn peerlist(months: &mut dyn Iterator<Item = Arc<SimOutput>>) -> Vec<String> {
     let mut txt = String::new();
     txt += "A4 sweep: forcing max peers returned (re-simulating)\n";
     txt += &format!("{:>12}{:>12}\n", "max_peers", "mean eff %");
@@ -205,7 +205,7 @@ pub(super) fn peerlist(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<S
 /// absorb the cost of a few users who decide not to upload" (§3.4). The
 /// sweep quantifies how peer efficiency and edge offload scale with the
 /// willing-uploader fraction.
-pub(super) fn enablefrac(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+pub(super) fn enablefrac(months: &mut dyn Iterator<Item = Arc<SimOutput>>) -> Vec<String> {
     let mut txt = String::new();
     txt += "A5: uploads-enabled fraction sweep\n";
     txt += &format!(
@@ -241,7 +241,7 @@ pub(super) fn enablefrac(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec
 /// peers tends to be very short. As a persistent background application,
 /// NetSession does not have this problem." The ablation shrinks each
 /// peer's daily online window to model launch-on-demand clients.
-pub(super) fn sessions(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+pub(super) fn sessions(months: &mut dyn Iterator<Item = Arc<SimOutput>>) -> Vec<String> {
     let mut txt = String::new();
     txt += "A6: background client vs launch-on-demand sessions\n";
     txt += &format!(

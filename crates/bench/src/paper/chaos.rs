@@ -16,7 +16,7 @@ use netsession_logs::records::DownloadOutcome;
 use netsession_obs::json::push_str_literal;
 use netsession_obs::AlertEvent;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::runner::pct;
 
@@ -175,7 +175,7 @@ fn daily_efficiency(out: &SimOutput) -> BTreeMap<u64, f64> {
 
 /// `chaos.txt`, `alerts.txt` and `alerts.json` from the baseline month and
 /// the campaign month.
-pub(super) fn render(months: &mut dyn Iterator<Item = Rc<SimOutput>>) -> Vec<String> {
+pub(super) fn render(months: &mut dyn Iterator<Item = Arc<SimOutput>>) -> Vec<String> {
     let mut month = || months.next().expect("chaos reads two months");
     let (baseline, out) = (&month(), &month());
     assert!(

@@ -9,7 +9,7 @@ use netsession_hybrid::{HybridSim, Scenario};
 use std::collections::BTreeSet;
 use std::convert::Infallible;
 use std::path::Path;
-use std::rc::Rc;
+use std::sync::Arc;
 
 const SMALL: Overrides = Overrides {
     peers: Some(2_000),
@@ -161,9 +161,9 @@ fn same_seed_renders_identically_and_entries_are_independent() {
 fn table4_from_the_run_equals_table4_from_scenario_build_alone() {
     let config = config_for(&SMALL.over(ExperimentArgs::FIGURES));
     let table4 = select(&names("table4")).unwrap()[0].render;
-    let out = Rc::new(HybridSim::run_config(config.clone()));
+    let out = Arc::new(HybridSim::run_config(config.clone()));
     let after_month = table4(&mut std::iter::once(out.clone()));
-    let mut out = Rc::into_inner(out).unwrap();
+    let mut out = Arc::into_inner(out).unwrap();
     out.scenario = Scenario::build(config);
-    assert_eq!(after_month, table4(&mut std::iter::once(Rc::new(out))));
+    assert_eq!(after_month, table4(&mut std::iter::once(Arc::new(out))));
 }

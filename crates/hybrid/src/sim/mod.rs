@@ -402,8 +402,6 @@ struct Run<S: EventSched<Event>> {
     peers: PeerTable,
     /// Who currently holds each GUID's login (contacts are resolved here).
     guid_owner: FxHashMap<Guid, u32>,
-    /// One infinite-capacity edge node per region.
-    edge_nodes: Vec<NodeId>,
     /// Regions whose edge servers are currently dark (EdgeOutage).
     edge_down: Vec<bool>,
     /// Every download ever started; `active` indexes the unfinished ones.
@@ -555,7 +553,6 @@ impl<S: EventSched<Event> + Default> Run<S> {
         let regions = scenario.plane.regions() as usize;
         Run {
             hot: HotInstruments::from(&metrics),
-            edge_nodes: (0..regions).map(|_| net.add_infinite_node()).collect(),
             edge_down: vec![false; regions],
             scenario,
             user_model,

@@ -299,11 +299,10 @@ impl<S: EventSched<Event>> Run<S> {
     /// caller holds the net's trace scope.
     pub(super) fn attach_edge(&mut self, id: usize, t: SimTime) {
         let dl = &mut self.dls[id];
-        dl.edge_flow = Some(self.net.add_flow(
-            self.edge_nodes[dl.region as usize],
-            self.peers.node[dl.peer as usize],
-            None,
-        ));
+        dl.edge_flow = Some(
+            self.net
+                .add_server_flow(self.peers.node[dl.peer as usize], None),
+        );
         dl.edge_span = self
             .trace
             .span(dl.ctx, "edge_backstop", "edge", t.as_micros());

@@ -5,6 +5,10 @@
 //! to explain Fig 4). A transfer is a *flow* from a source node's upstream
 //! side to a destination node's downstream side, optionally capped by a
 //! per-flow rate ceiling (NetSession's deliberate upload throttling, §3.9).
+//! A *server flow* has no source node: it is a download from the edge tier,
+//! which is provisioned so amply (§3.3) that only the destination's
+//! downstream side and the flow's ceiling bound it. Every node capacity is
+//! finite.
 //!
 //! Rates are assigned by **progressive filling**: all flows grow at the same
 //! rate until a resource (a node side or a flow ceiling) saturates, the
@@ -14,9 +18,11 @@
 //! # Incremental recomputation
 //!
 //! Rates only couple flows that share a resource, i.e. flows in the same
-//! *connected component* of the bipartite flow graph. The model therefore
-//! maintains a union-find partition of nodes, tracks which components were
-//! dirtied by membership / ceiling / capacity changes, and
+//! *connected component* of the bipartite flow graph. A flow belongs to its
+//! destination's component and a server flow links nothing else, so the
+//! edge tier never glues the downloads it feeds into one component. The
+//! model therefore maintains a union-find partition of nodes, tracks which
+//! components were dirtied by membership / ceiling / capacity changes, and
 //! [`FlowNet::recompute_dirty`] re-runs progressive filling only inside
 //! dirty components — the common driver path at scale, where a single
 //! swarm's churn must not trigger a global recomputation.
@@ -53,6 +59,16 @@ pub struct FlowId {
 const MAX_RATE: f64 = 1e12;
 /// Relative tolerance for saturation checks.
 const EPS: f64 = 1e-9;
+/// A server flow's upstream side in [`FillScratch`]: there is none.
+const NO_SIDE: u32 = u32::MAX;
+
+/// Every side saturates at a finite capacity; the fill relies on it.
+fn check_caps(up: f64, down: f64) {
+    assert!(
+        up.is_finite() && up >= 0.0 && down.is_finite() && down >= 0.0,
+        "node capacities must be finite and non-negative (up {up}, down {down})"
+    );
+}
 
 #[derive(Clone, Debug)]
 struct Node {
@@ -62,7 +78,8 @@ struct Node {
 
 #[derive(Clone, Debug)]
 struct Flow {
-    src: NodeId,
+    /// `None` for a server flow.
+    src: Option<NodeId>,
     dst: NodeId,
     ceil: f64,
     rate: f64,
@@ -83,8 +100,8 @@ struct Slot {
 /// per-call `Vec` churn here would dominate the allocator profile.
 #[derive(Default)]
 struct CandScratch {
-    lsrc: Vec<u32>,
     ldst: Vec<u32>,
+    links: Vec<(u32, u32)>,
     lparent: Vec<u32>,
     lrank: Vec<u8>,
     comp_of_root: Vec<u32>,
@@ -92,15 +109,15 @@ struct CandScratch {
 }
 
 /// Scratch buffers for [`FlowNet::fill_component`], reused across fills.
-/// Resource *sides* are indexed `2 * local_node + {0 up, 1 down}`.
+/// Resource *sides* are indexed `2 * local_node + {0 up, 1 down}`; a server
+/// flow's missing upstream side is `NO_SIDE`.
 #[derive(Default)]
 struct FillScratch {
     cn: Vec<u32>,
     resid: Vec<f64>,
     count: Vec<u32>,
     thr: Vec<f64>,
-    // Per-side flow lists (CSR over finite sides; infinite sides never
-    // saturate, so their ranges are empty).
+    // Per-side flow lists (CSR over sides).
     side_start: Vec<u32>,
     side_flows: Vec<u32>,
     src: Vec<u32>,
@@ -280,6 +297,7 @@ impl FlowNet {
     }
 
     fn push_node(&mut self, up: f64, down: f64) -> NodeId {
+        check_caps(up, down);
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node { up, down });
         self.parent.push(id.0);
@@ -295,16 +313,11 @@ impl FlowNet {
         id
     }
 
-    /// Add a node with the given up/downstream capacities. Infinite
-    /// capacities are allowed (edge servers are modeled as amply
-    /// provisioned).
+    /// Add a node with the given up/downstream capacities, which must be
+    /// finite and non-negative. An amply provisioned server is not a node:
+    /// its downloads are [server flows](FlowNet::add_server_flow).
     pub fn add_node(&mut self, up: Bandwidth, down: Bandwidth) -> NodeId {
         self.push_node(up.bytes_per_sec(), down.bytes_per_sec())
-    }
-
-    /// Add an *uncapacitated* node (infinite both ways) — for server tiers.
-    pub fn add_infinite_node(&mut self) -> NodeId {
-        self.push_node(f64::INFINITY, f64::INFINITY)
     }
 
     /// Number of nodes.
@@ -322,6 +335,7 @@ impl FlowNet {
     /// genuine change dirties the node's component.
     pub fn set_node_caps(&mut self, node: NodeId, up: Bandwidth, down: Bandwidth) {
         let (u, d) = (up.bytes_per_sec(), down.bytes_per_sec());
+        check_caps(u, d);
         let n = &mut self.nodes[node.0 as usize];
         if n.up != u || n.down != d {
             n.up = u;
@@ -334,6 +348,17 @@ impl FlowNet {
     /// optional rate ceiling.
     pub fn add_flow(&mut self, src: NodeId, dst: NodeId, ceil: Option<Bandwidth>) -> FlowId {
         assert!((src.0 as usize) < self.nodes.len(), "bad src node");
+        self.insert_flow(Some(src), dst, ceil)
+    }
+
+    /// Start a server flow into `dst`'s downstream: a download from an
+    /// amply provisioned server, bounded only by that side and `ceil`. It
+    /// joins `dst`'s component and no other.
+    pub fn add_server_flow(&mut self, dst: NodeId, ceil: Option<Bandwidth>) -> FlowId {
+        self.insert_flow(None, dst, ceil)
+    }
+
+    fn insert_flow(&mut self, src: Option<NodeId>, dst: NodeId, ceil: Option<Bandwidth>) -> FlowId {
         assert!((dst.0 as usize) < self.nodes.len(), "bad dst node");
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -361,8 +386,10 @@ impl FlowNet {
         self.slot_pos[slot as usize] = self.live_slots.len() as u32;
         self.live_slots.push(slot);
         self.live += 1;
-        self.union(src.0, dst.0);
-        self.mark_dirty(src.0);
+        if let Some(src) = src {
+            self.union(src.0, dst.0);
+        }
+        self.mark_dirty(dst.0);
         let id = FlowId {
             slot,
             gen: self.slots[slot as usize].gen,
@@ -372,7 +399,9 @@ impl FlowNet {
                 .trace
                 .instant(self.trace_ctx, "flow_attach", "sim", self.trace_now_us);
             self.trace.add_attr(span, "flow", id.slot as u64);
-            self.trace.add_attr(span, "src", src.0 as u64);
+            if let Some(src) = src {
+                self.trace.add_attr(span, "src", src.0 as u64);
+            }
             self.trace.add_attr(span, "dst", dst.0 as u64);
         }
         id
@@ -385,8 +414,8 @@ impl FlowNet {
         let Some(f) = self.get_mut(flow) else { return };
         if f.ceil != new_ceil {
             f.ceil = new_ceil;
-            let src = f.src.0;
-            self.mark_dirty(src);
+            let dst = f.dst.0;
+            self.mark_dirty(dst);
         }
     }
 
@@ -409,9 +438,11 @@ impl FlowNet {
         self.slot_pos[flow.slot as usize] = u32::MAX;
         self.live -= 1;
         self.stale_removals += 1;
-        self.util_up[f.src.0 as usize] -= f.rate;
+        if let Some(src) = f.src {
+            self.util_up[src.0 as usize] -= f.rate;
+            self.mark_dirty(src.0);
+        }
         self.util_down[f.dst.0 as usize] -= f.rate;
-        self.mark_dirty(f.src.0);
         self.mark_dirty(f.dst.0);
         if self.trace_ctx.sampled {
             let span = self
@@ -426,8 +457,8 @@ impl FlowNet {
         Bandwidth::from_bytes_per_sec(self.get(flow).map_or(0.0, |f| f.rate))
     }
 
-    /// Endpoints of a flow.
-    pub fn endpoints(&self, flow: FlowId) -> Option<(NodeId, NodeId)> {
+    /// Endpoints of a flow (no source for a server flow).
+    pub fn endpoints(&self, flow: FlowId) -> Option<(Option<NodeId>, NodeId)> {
         self.get(flow).map(|f| (f.src, f.dst))
     }
 
@@ -488,10 +519,10 @@ impl FlowNet {
         self.uf_epoch += 1;
         for li in 0..self.live_slots.len() {
             let s = self.live_slots[li] as usize;
-            let Some((a, b)) = self.slots[s].flow.as_ref().map(|f| (f.src.0, f.dst.0)) else {
+            let Some((Some(a), b)) = self.slots[s].flow.as_ref().map(|f| (f.src, f.dst)) else {
                 continue;
             };
-            self.union(a, b);
+            self.union(a.0, b.0);
         }
         self.stale_removals = 0;
     }
@@ -583,10 +614,10 @@ impl FlowNet {
         let mut components_total = 0usize;
         for li in 0..self.live_slots.len() {
             let s = self.live_slots[li] as usize;
-            let Some((src, seq)) = self.slots[s].flow.as_ref().map(|f| (f.src.0, f.seq)) else {
+            let Some((dst, seq)) = self.slots[s].flow.as_ref().map(|f| (f.dst.0, f.seq)) else {
                 continue;
             };
-            let r = self.find(src);
+            let r = self.find(dst);
             if self.comp_mark[r as usize] != self.scan_epoch {
                 self.comp_mark[r as usize] = self.scan_epoch;
                 components_total += 1;
@@ -635,13 +666,14 @@ impl FlowNet {
         // guarantees byte-identical fills between the dirty and full paths.
         self.nl_epoch += 1;
         let mut cs = std::mem::take(&mut self.cand);
-        cs.lsrc.clear();
         cs.ldst.clear();
+        cs.links.clear();
         cs.lparent.clear();
         cs.lrank.clear();
         for &s in members {
             let f = self.slots[s as usize].flow.as_ref().unwrap();
-            for e in [f.src.0 as usize, f.dst.0 as usize] {
+            let (src, dst) = (f.src.map(|n| n.0 as usize), f.dst.0 as usize);
+            for e in src.into_iter().chain([dst]) {
                 if self.nl_mark[e] != self.nl_epoch {
                     self.nl_mark[e] = self.nl_epoch;
                     self.nl_idx[e] = cs.lparent.len() as u32;
@@ -649,8 +681,10 @@ impl FlowNet {
                     cs.lrank.push(0);
                 }
             }
-            cs.lsrc.push(self.nl_idx[f.src.0 as usize]);
-            cs.ldst.push(self.nl_idx[f.dst.0 as usize]);
+            cs.ldst.push(self.nl_idx[dst]);
+            if let Some(src) = src {
+                cs.links.push((self.nl_idx[src], self.nl_idx[dst]));
+            }
         }
         fn lfind(parent: &mut [u32], mut x: u32) -> u32 {
             while parent[x as usize] != x {
@@ -660,11 +694,8 @@ impl FlowNet {
             }
             x
         }
-        for k in 0..members.len() {
-            let (ra, rb) = (
-                lfind(&mut cs.lparent, cs.lsrc[k]),
-                lfind(&mut cs.lparent, cs.ldst[k]),
-            );
+        for &(a, b) in &cs.links {
+            let (ra, rb) = (lfind(&mut cs.lparent, a), lfind(&mut cs.lparent, b));
             if ra == rb {
                 continue;
             }
@@ -685,7 +716,7 @@ impl FlowNet {
         cs.comp_of_root.resize(cs.lparent.len(), u32::MAX);
         let mut used = 0usize;
         for (k, &s) in members.iter().enumerate() {
-            let r = lfind(&mut cs.lparent, cs.lsrc[k]) as usize;
+            let r = lfind(&mut cs.lparent, cs.ldst[k]) as usize;
             if cs.comp_of_root[r] == u32::MAX {
                 cs.comp_of_root[r] = used as u32;
                 if cs.comps.len() == used {
@@ -755,8 +786,8 @@ impl FlowNet {
         rate_thr.clear();
         for &s in comp {
             let f = self.slots[s as usize].flow.as_ref().unwrap();
-            let (a, b, c) = (f.src.0 as usize, f.dst.0 as usize, f.ceil);
-            for e in [a, b] {
+            let (a, b, c) = (f.src.map(|n| n.0 as usize), f.dst.0 as usize, f.ceil);
+            for e in a.into_iter().chain([b]) {
                 if self.nl_mark[e] != self.nl_epoch {
                     self.nl_mark[e] = self.nl_epoch;
                     self.nl_idx[e] = cn.len() as u32;
@@ -765,19 +796,16 @@ impl FlowNet {
                     for cap in [node.up, node.down] {
                         resid.push(cap);
                         count.push(0);
-                        // Saturation is `resid <= max(EPS*cap, 1e-6)` for a
-                        // finite side; an infinite one (edge servers) never
-                        // saturates, which -inf encodes.
-                        thr.push(if cap.is_finite() {
-                            (EPS * cap).max(1e-6)
-                        } else {
-                            f64::NEG_INFINITY
-                        });
+                        // Saturation is `resid <= max(EPS*cap, 1e-6)`.
+                        thr.push((EPS * cap).max(1e-6));
                     }
                 }
             }
-            let (su, sd) = (2 * self.nl_idx[a], 2 * self.nl_idx[b] + 1);
-            count[su as usize] += 1;
+            let su = a.map_or(NO_SIDE, |a| 2 * self.nl_idx[a]);
+            let sd = 2 * self.nl_idx[b] + 1;
+            if su != NO_SIDE {
+                count[su as usize] += 1;
+            }
             count[sd as usize] += 1;
             src.push(su);
             dst.push(sd);
@@ -788,16 +816,15 @@ impl FlowNet {
         }
 
         // Per-side flow lists and the sides that can constrain the
-        // increment: a side with no unfrozen flows contributes nothing,
-        // and an infinite side has ratio inf — it never moves the min.
+        // increment: a side with no unfrozen flows contributes nothing.
         // `side_start` first holds each range's end, and placing a flow
         // moves its side's entry back, so it ends at the range's start.
         side_start.clear();
         live_sides.clear();
         let mut total = 0u32;
-        for sx in 0..resid.len() {
-            if thr[sx] != f64::NEG_INFINITY && count[sx] > 0 {
-                total += count[sx];
+        for (sx, &c) in count.iter().enumerate() {
+            if c > 0 {
+                total += c;
                 live_sides.push(sx as u32);
             }
             side_start.push(total);
@@ -806,8 +833,9 @@ impl FlowNet {
         side_flows.clear();
         side_flows.resize(total as usize, 0);
         for k in 0..n {
-            for sx in [src[k] as usize, dst[k] as usize] {
-                if thr[sx] != f64::NEG_INFINITY {
+            for sx in [src[k], dst[k]] {
+                if sx != NO_SIDE {
+                    let sx = sx as usize;
                     side_start[sx] -= 1;
                     side_flows[side_start[sx] as usize] = k as u32;
                 }
@@ -835,7 +863,9 @@ impl FlowNet {
                 let k = $k;
                 frozen[k] = true;
                 rate[k] = level;
-                count[src[k] as usize] -= 1;
+                if src[k] != NO_SIDE {
+                    count[src[k] as usize] -= 1;
+                }
                 count[dst[k] as usize] -= 1;
                 unfrozen -= 1;
             }};
@@ -856,11 +886,8 @@ impl FlowNet {
             while frozen[by_ceil[ceil_cur] as usize] {
                 ceil_cur += 1;
             }
-            inc = inc.min(ceil[by_ceil[ceil_cur] as usize] - level);
-            if !inc.is_finite() {
-                inc = MAX_RATE;
-            }
-            inc = inc.max(0.0);
+            // Finite: every ceiling is at most `MAX_RATE`.
+            inc = inc.min(ceil[by_ceil[ceil_cur] as usize] - level).max(0.0);
             level += inc;
 
             // Apply the increment side by side (with every side's count as
@@ -918,9 +945,10 @@ impl FlowNet {
         for (k, &s) in comp.iter().enumerate() {
             let f = self.slots[s as usize].flow.as_mut().unwrap();
             f.rate = rate[k];
-            let (a, b) = (f.src.0 as usize, f.dst.0 as usize);
-            self.util_up[a] += rate[k];
-            self.util_down[b] += rate[k];
+            if let Some(a) = f.src {
+                self.util_up[a.0 as usize] += rate[k];
+            }
+            self.util_down[f.dst.0 as usize] += rate[k];
         }
         self.fill = fs;
     }
@@ -976,13 +1004,11 @@ mod tests {
             let n = comp.len();
             self.nl_epoch += 1;
             let mut cn: Vec<u32> = Vec::new();
-            let mut cap_up: Vec<f64> = Vec::new();
-            let mut cap_down: Vec<f64> = Vec::new();
             let mut resid_up: Vec<f64> = Vec::new();
             let mut resid_down: Vec<f64> = Vec::new();
             let mut up_count: Vec<u32> = Vec::new();
             let mut down_count: Vec<u32> = Vec::new();
-            let mut src: Vec<usize> = Vec::new();
+            let mut src: Vec<Option<usize>> = Vec::new();
             let mut dst: Vec<usize> = Vec::new();
             let mut ceil: Vec<f64> = Vec::new();
             let mut rate: Vec<f64> = Vec::new();
@@ -993,38 +1019,30 @@ mod tests {
             let mut rate_thr: Vec<f64> = Vec::new();
             for &s in comp {
                 let f = self.slots[s as usize].flow.as_ref().unwrap();
-                let (a, b, c) = (f.src.0 as usize, f.dst.0 as usize, f.ceil);
-                for e in [a, b] {
+                let (a, b, c) = (f.src.map(|n| n.0 as usize), f.dst.0 as usize, f.ceil);
+                for e in a.into_iter().chain([b]) {
                     if self.nl_mark[e] != self.nl_epoch {
                         self.nl_mark[e] = self.nl_epoch;
                         self.nl_idx[e] = cn.len() as u32;
                         cn.push(e as u32);
                         let node = &self.nodes[e];
-                        cap_up.push(node.up);
-                        cap_down.push(node.down);
                         resid_up.push(node.up);
                         resid_down.push(node.down);
                         up_count.push(0);
                         down_count.push(0);
                         // Saturation thresholds folded once per fill: the
-                        // round-loop test `finite && (resid <= EPS*cap ||
-                        // resid <= 1e-6)` is `resid <= max(EPS*cap, 1e-6)`
-                        // for finite caps (same comparisons, same floats) and
-                        // always-false for infinite ones, which -inf encodes.
-                        up_thr.push(if node.up.is_finite() {
-                            (EPS * node.up).max(1e-6)
-                        } else {
-                            f64::NEG_INFINITY
-                        });
-                        down_thr.push(if node.down.is_finite() {
-                            (EPS * node.down).max(1e-6)
-                        } else {
-                            f64::NEG_INFINITY
-                        });
+                        // round-loop test `resid <= EPS*cap || resid <= 1e-6`
+                        // is `resid <= max(EPS*cap, 1e-6)` (same comparisons,
+                        // same floats).
+                        up_thr.push((EPS * node.up).max(1e-6));
+                        down_thr.push((EPS * node.down).max(1e-6));
                     }
                 }
-                let (sl, dl) = (self.nl_idx[a] as usize, self.nl_idx[b] as usize);
-                up_count[sl] += 1;
+                let sl = a.map(|a| self.nl_idx[a] as usize);
+                let dl = self.nl_idx[b] as usize;
+                if let Some(sl) = sl {
+                    up_count[sl] += 1;
+                }
                 down_count[dl] += 1;
                 src.push(sl);
                 dst.push(dl);
@@ -1047,17 +1065,13 @@ mod tests {
             for &c in ceil.iter() {
                 flow_min = flow_min.min(c);
             }
-            // Only node sides that can ever constrain the increment: a side
-            // with no unfrozen flows contributes nothing, and an infinite side
-            // (edge servers) has ratio inf — it never moves the min and never
-            // saturates. Skipping both leaves every computed `inc` identical
-            // (min over the same set of finite ratios) while shrinking the
-            // per-round scan from all component nodes to the constraining few.
+            // Only nodes that can ever constrain the increment: a side with
+            // no unfrozen flows contributes nothing. Skipping it leaves every
+            // computed `inc` identical (min over the same set of ratios)
+            // while shrinking the per-round scan to the constraining few.
             live_nodes.clear();
             for i in 0..cn.len() {
-                if (up_count[i] > 0 && cap_up[i].is_finite())
-                    || (down_count[i] > 0 && cap_down[i].is_finite())
-                {
+                if up_count[i] > 0 || down_count[i] > 0 {
                     live_nodes.push(i as u32);
                 }
             }
@@ -1067,48 +1081,44 @@ mod tests {
                 let mut i = 0;
                 while i < live_nodes.len() {
                     let nx = live_nodes[i] as usize;
-                    let up_live = up_count[nx] > 0 && cap_up[nx].is_finite();
-                    let down_live = down_count[nx] > 0 && cap_down[nx].is_finite();
-                    if !up_live && !down_live {
+                    if up_count[nx] == 0 && down_count[nx] == 0 {
                         live_nodes.swap_remove(i);
                         continue;
                     }
-                    if up_live {
+                    if up_count[nx] > 0 {
                         inc = inc.min(resid_up[nx] / up_count[nx] as f64);
                     }
-                    if down_live {
+                    if down_count[nx] > 0 {
                         inc = inc.min(resid_down[nx] / down_count[nx] as f64);
                     }
                     i += 1;
                 }
-                inc = inc.min(flow_min);
-                if !inc.is_finite() {
-                    inc = MAX_RATE;
-                }
-                inc = inc.max(0.0);
+                // Finite: every ceiling is at most `MAX_RATE`.
+                inc = inc.min(flow_min).max(0.0);
 
                 // Apply the increment.
                 for &k in active.iter() {
                     rate[k] += inc;
-                    resid_up[src[k]] -= inc;
+                    if let Some(a) = src[k] {
+                        resid_up[a] -= inc;
+                    }
                     resid_down[dst[k]] -= inc;
                 }
 
                 // Freeze flows at a saturated resource or at their ceiling.
-                // Infinite-capacity sides (edge servers) can never saturate —
-                // without the finiteness guard, `inf - inc <= EPS * inf` is
-                // true and every edge flow would freeze at the first
-                // increment. The retain pass doubles as the producer of the
-                // next round's flow-ceiling minimum over exactly the flows
-                // that survive it.
+                // The retain pass doubles as the producer of the next
+                // round's flow-ceiling minimum over exactly the flows that
+                // survive it.
                 let before = active.len();
                 flow_min = f64::INFINITY;
                 active.retain(|&k| {
-                    let freeze = resid_up[src[k]] <= up_thr[src[k]]
+                    let freeze = src[k].is_some_and(|a| resid_up[a] <= up_thr[a])
                         || resid_down[dst[k]] <= down_thr[dst[k]]
                         || rate[k] >= rate_thr[k];
                     if freeze {
-                        up_count[src[k]] -= 1;
+                        if let Some(a) = src[k] {
+                            up_count[a] -= 1;
+                        }
                         down_count[dst[k]] -= 1;
                     } else {
                         flow_min = flow_min.min(ceil[k] - rate[k]);
@@ -1121,7 +1131,9 @@ mod tests {
                 // rebuild the min over the flows actually left.
                 if active.len() == before {
                     let k = active.remove(0);
-                    up_count[src[k]] -= 1;
+                    if let Some(a) = src[k] {
+                        up_count[a] -= 1;
+                    }
                     down_count[dst[k]] -= 1;
                     flow_min = f64::INFINITY;
                     for &k in active.iter() {
@@ -1140,20 +1152,20 @@ mod tests {
             for (k, &s) in comp.iter().enumerate() {
                 let f = self.slots[s as usize].flow.as_mut().unwrap();
                 f.rate = rate[k];
-                let (a, b) = (f.src.0 as usize, f.dst.0 as usize);
-                self.util_up[a] += rate[k];
-                self.util_down[b] += rate[k];
+                if let Some(a) = f.src {
+                    self.util_up[a.0 as usize] += rate[k];
+                }
+                self.util_down[f.dst.0 as usize] += rate[k];
             }
         }
     }
 
-    /// A random network (possibly several components) filled through
-    /// `fill`: every flow's rate bits in creation order, then every node's
-    /// upstream and downstream utilization bits. Inputs include infinite
-    /// nodes, zero-capacity and sub-threshold sides, ceilings equal to a
+    /// A random network (possibly several components), flows added in
+    /// slots `0..flow_count()`, nothing filled. Inputs include server
+    /// flows, zero-capacity and sub-threshold sides, ceilings equal to a
     /// side's fair share, zero and tied ceilings, and duplicate
     /// `(src, dst)` flows.
-    fn random_fill(seed: u64, fill: fn(&mut FlowNet, &[u32])) -> Vec<u64> {
+    fn random_net(seed: u64) -> FlowNet {
         use netsession_core::rng::DetRng;
         let mut rng = DetRng::seeded(0xf111_0000 ^ seed);
         let mut net = FlowNet::new();
@@ -1161,7 +1173,6 @@ mod tests {
         let mut caps = Vec::new();
         for _ in 0..n {
             let (up, down) = match rng.index(10) {
-                0 => (f64::INFINITY, f64::INFINITY),
                 1 => (0.0, mbps(rng.range_f64(0.5, 200.0)).bytes_per_sec()),
                 2 => (mbps(rng.range_f64(0.1, 50.0)).bytes_per_sec(), 0.0),
                 3 => (5e-7, mbps(rng.range_f64(0.5, 200.0)).bytes_per_sec()),
@@ -1173,38 +1184,52 @@ mod tests {
             caps.push((up, down));
             net.push_node(up, down);
         }
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        // `None` as the source is a server flow.
+        let mut pairs: Vec<(Option<usize>, usize)> = Vec::new();
         for _ in 0..1 + rng.index(60) {
             let pair = match pairs.last() {
                 Some(&last) if rng.chance(0.2) => last,
+                _ if rng.chance(0.15) => (None, rng.index(n)),
                 _ => {
                     let s = rng.index(n);
-                    (s, (s + 1 + rng.index(n - 1)) % n)
+                    (Some(s), (s + 1 + rng.index(n - 1)) % n)
                 }
             };
             pairs.push(pair);
         }
         let (mut outs, mut ins) = (vec![0usize; n], vec![0usize; n]);
         for &(s, d) in &pairs {
-            outs[s] += 1;
+            if let Some(s) = s {
+                outs[s] += 1;
+            }
             ins[d] += 1;
         }
         let mut last_ceil = None;
         for &(s, d) in &pairs {
-            let ceil = match rng.index(10) {
-                0..=4 => None,
-                5 | 6 => Some(mbps(rng.range_f64(0.05, 10.0))),
-                7 if caps[s].0.is_finite() => {
-                    Some(Bandwidth::from_bytes_per_sec(caps[s].0 / outs[s] as f64))
-                }
-                7 => Some(Bandwidth::from_bytes_per_sec(caps[d].1 / ins[d] as f64)),
-                8 => Some(Bandwidth::ZERO),
+            let ceil = match (rng.index(10), s) {
+                (0..=4, _) => None,
+                (5 | 6, _) => Some(mbps(rng.range_f64(0.05, 10.0))),
+                (7, Some(s)) => Some(Bandwidth::from_bytes_per_sec(caps[s].0 / outs[s] as f64)),
+                (7, None) => Some(Bandwidth::from_bytes_per_sec(caps[d].1 / ins[d] as f64)),
+                (8, _) => Some(Bandwidth::ZERO),
                 _ => last_ceil,
             };
             last_ceil = ceil;
-            net.add_flow(NodeId(s as u32), NodeId(d as u32), ceil);
+            let d = NodeId(d as u32);
+            match s {
+                Some(s) => net.add_flow(NodeId(s as u32), d, ceil),
+                None => net.add_server_flow(d, ceil),
+            };
         }
-        let members: Vec<u32> = (0..pairs.len() as u32).collect();
+        net
+    }
+
+    /// `random_net(seed)` split into its true components, each filled
+    /// through `fill`: every flow's rate bits in creation order, then every
+    /// node's upstream and downstream utilization bits.
+    fn random_fill(seed: u64, fill: fn(&mut FlowNet, &[u32])) -> Vec<u64> {
+        let mut net = random_net(seed);
+        let members: Vec<u32> = (0..net.flow_count() as u32).collect();
         net.fill_candidates(&members, fill);
         let rates = net.slots.iter().map(|s| s.flow.as_ref().unwrap().rate);
         rates
@@ -1222,6 +1247,103 @@ mod tests {
                 random_fill(seed, FlowNet::fill_component_reference),
                 "seed {seed}"
             );
+        }
+    }
+
+    /// The size of the one float-order change server flows make. An edge
+    /// server used to be a node of infinite capacity, which glued every
+    /// download it fed into one component, so a whole region was filled
+    /// as one member list. An infinite side never constrains the fill, so
+    /// in real arithmetic the rates are the same; only the shared fill
+    /// level is now accumulated per true component instead of over the
+    /// region. Here the reference loop fills each whole network as one
+    /// list (the glue) and the side fill fills its true components.
+    ///
+    /// Where every side's capacity is above the fill's absolute saturation
+    /// floor (1e-6 B/s) each rate agrees within `MAX_ULPS` (18 was the
+    /// worst seen). A side at or below that floor counts as saturated from
+    /// the first round, at whatever level that round reaches, so there the
+    /// rates agree within the floor itself (5.0e-7 B/s was the worst seen).
+    #[test]
+    fn region_glued_fill_agrees_within_ulps() {
+        const MAX_ULPS: u64 = 32;
+        const FLOOR: f64 = 1e-6;
+        for seed in 0..20_000 {
+            let mut split = random_net(seed);
+            let mut glued = random_net(seed);
+            let members: Vec<u32> = (0..split.flow_count() as u32).collect();
+            split.fill_candidates(&members, FlowNet::fill_component);
+            glued.fill_component_reference(&members);
+            let above_floor = split.nodes.iter().all(|n| n.up > FLOOR && n.down > FLOOR);
+            for (a, b) in split.slots.iter().zip(&glued.slots) {
+                let (a, b) = (a.flow.as_ref().unwrap().rate, b.flow.as_ref().unwrap().rate);
+                if above_floor {
+                    let ulps = a.to_bits().abs_diff(b.to_bits());
+                    assert!(ulps <= MAX_ULPS, "seed {seed}: {a} vs {b} ({ulps} ulps)");
+                } else {
+                    assert!((a - b).abs() <= FLOOR, "seed {seed}: {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    /// With the edge a ceiling and not a node, two swarms share no
+    /// resource, so nothing done to one swarm's server flows (adding,
+    /// re-capping, removing) may move a single rate or utilization bit in
+    /// the other, on the dirty path or the full one.
+    #[test]
+    fn server_flows_never_move_another_swarms_rate_bits() {
+        use netsession_core::rng::DetRng;
+        for seed in 0..200 {
+            let mut rng = DetRng::seeded(0x5e4e_0000 ^ seed);
+            let mut net = FlowNet::new();
+            // A chain of peers, each downloader also fed by the edge.
+            let swarm = |net: &mut FlowNet, rng: &mut DetRng| {
+                let nodes: Vec<NodeId> = (0..2 + rng.index(4))
+                    .map(|_| {
+                        let up = mbps(rng.range_f64(0.1, 20.0));
+                        net.add_node(up, mbps(rng.range_f64(0.5, 100.0)))
+                    })
+                    .collect();
+                let (mut peer, mut server) = (Vec::new(), Vec::new());
+                for (i, &d) in nodes.iter().enumerate().skip(1) {
+                    peer.push(net.add_flow(nodes[i - 1], d, None));
+                    server.push(net.add_server_flow(d, Some(mbps(rng.range_f64(0.1, 50.0)))));
+                }
+                (nodes, peer, server)
+            };
+            let (a_nodes, _, mut a_server) = swarm(&mut net, &mut rng);
+            let (b_nodes, b_peer, b_server) = swarm(&mut net, &mut rng);
+            let bits = |net: &FlowNet| -> Vec<u64> {
+                let flows = b_peer.iter().chain(&b_server);
+                let rates = flows.map(|&f| net.rate(f).bytes_per_sec());
+                let up = b_nodes
+                    .iter()
+                    .map(|&n| net.upstream_utilization(n).bytes_per_sec());
+                let down = b_nodes
+                    .iter()
+                    .map(|&n| net.downstream_utilization(n).bytes_per_sec());
+                rates.chain(up).chain(down).map(f64::to_bits).collect()
+            };
+            net.recompute_dirty();
+            let before = bits(&net);
+            for step in 0..20 {
+                let k = rng.index(a_server.len());
+                match rng.index(3) {
+                    0 => {
+                        let d = a_nodes[rng.index(a_nodes.len())];
+                        let ceil = rng.chance(0.5).then(|| mbps(rng.range_f64(0.1, 50.0)));
+                        a_server.push(net.add_server_flow(d, ceil));
+                    }
+                    1 => net.set_flow_ceil(a_server[k], Some(mbps(rng.range_f64(0.1, 50.0)))),
+                    _ if a_server.len() > 1 => net.remove_flow(a_server.swap_remove(k)),
+                    _ => {}
+                }
+                net.recompute_dirty();
+                assert_eq!(bits(&net), before, "seed {seed} step {step}: dirty path");
+                net.recompute();
+                assert_eq!(bits(&net), before, "seed {seed} step {step}: full path");
+            }
         }
     }
 
@@ -1310,11 +1432,10 @@ mod tests {
     }
 
     #[test]
-    fn infinite_edge_server_fills_client_downlink() {
+    fn server_flow_fills_client_downlink() {
         let mut net = FlowNet::new();
-        let edge = net.add_infinite_node();
         let dl = net.add_node(mbps(1.0), mbps(16.0));
-        let f = net.add_flow(edge, dl, None);
+        let f = net.add_server_flow(dl, None);
         net.recompute();
         assert_close(net.rate(f), 16.0);
     }

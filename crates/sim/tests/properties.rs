@@ -230,9 +230,9 @@ fn timing_wheel_dense_tie_bursts_match_heap_oracle() {
 /// 200 seeded mutation sequences (flow add/remove, ceiling changes, node
 /// capacity changes) the incremental path must produce *bit-identical*
 /// rates, utilizations, and rate checksums to the full `recompute()`
-/// oracle after every single mutation. Some nodes are infinite-capacity,
-/// like the simulator's per-region edge servers, so components merge
-/// through sides that never constrain anything.
+/// oracle after every single mutation. Some flows are server flows, like
+/// the simulator's edge downloads: they have no source node and join only
+/// their destination's component.
 #[test]
 fn recompute_dirty_matches_full_oracle_across_200_seeds() {
     for seed in 0..200u64 {
@@ -242,15 +242,7 @@ fn recompute_dirty_matches_full_oracle_across_200_seeds() {
         let n_nodes = 4 + rng.index(12);
         let mut nodes_inc: Vec<NodeId> = Vec::new();
         let mut nodes_full: Vec<NodeId> = Vec::new();
-        let mut infinite = Vec::new();
         for _ in 0..n_nodes {
-            let edge = rng.chance(0.15);
-            infinite.push(edge);
-            if edge {
-                nodes_inc.push(inc.add_infinite_node());
-                nodes_full.push(full.add_infinite_node());
-                continue;
-            }
             let up = Bandwidth::from_mbps(rng.range_f64(0.1, 50.0));
             let down = Bandwidth::from_mbps(rng.range_f64(0.5, 200.0));
             nodes_inc.push(inc.add_node(up, down));
@@ -261,6 +253,16 @@ fn recompute_dirty_matches_full_oracle_across_200_seeds() {
         for step in 0..steps {
             match rng.index(5) {
                 // Bias toward adds so components grow, merge, and churn.
+                0 | 1 if rng.chance(0.2) => {
+                    let d = rng.index(n_nodes);
+                    let ceil = rng
+                        .chance(0.4)
+                        .then(|| Bandwidth::from_mbps(rng.range_f64(0.05, 10.0)));
+                    live.push((
+                        inc.add_server_flow(nodes_inc[d], ceil),
+                        full.add_server_flow(nodes_full[d], ceil),
+                    ));
+                }
                 0 | 1 => {
                     let s = rng.index(n_nodes);
                     let mut d = rng.index(n_nodes);
@@ -289,15 +291,12 @@ fn recompute_dirty_matches_full_oracle_across_200_seeds() {
                     inc.set_flow_ceil(live[k].0, ceil);
                     full.set_flow_ceil(live[k].1, ceil);
                 }
-                // Edge servers keep their infinite capacity.
                 4 => {
                     let k = rng.index(n_nodes);
-                    if !infinite[k] {
-                        let up = Bandwidth::from_mbps(rng.range_f64(0.1, 50.0));
-                        let down = Bandwidth::from_mbps(rng.range_f64(0.5, 200.0));
-                        inc.set_node_caps(nodes_inc[k], up, down);
-                        full.set_node_caps(nodes_full[k], up, down);
-                    }
+                    let up = Bandwidth::from_mbps(rng.range_f64(0.1, 50.0));
+                    let down = Bandwidth::from_mbps(rng.range_f64(0.5, 200.0));
+                    inc.set_node_caps(nodes_inc[k], up, down);
+                    full.set_node_caps(nodes_full[k], up, down);
                 }
                 _ => {}
             }
