@@ -113,15 +113,12 @@ impl FaultSchedule {
     }
 }
 
-/// Observability knobs. These configure what gets *recorded* — event
-/// ring depth and download-trace sampling — and, by the passive-design
-/// rule, can never change simulated behaviour: a same-seed run produces
-/// identical experiment output at any setting.
+/// Observability knobs. These configure what gets *recorded* — download
+/// trace sampling — and, by the passive-design rule, can never change
+/// simulated behaviour: a same-seed run produces identical experiment
+/// output at any setting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Bound on the structured-event ring the metrics registry keeps
-    /// (0 disables event recording; details are then never formatted).
-    pub event_ring_capacity: usize,
     /// Trace one download in this many (1 = trace everything). Sampling
     /// is deterministic — the k-th download start is sampled iff
     /// `(k - 1) % trace_sample_every == 0`.
@@ -131,7 +128,6 @@ pub struct ObsConfig {
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
-            event_ring_capacity: netsession_obs::DEFAULT_EVENT_CAPACITY,
             // At the default 40 k-download scale this keeps ~40 traced
             // downloads per run — rich enough to drill into, small
             // enough that committed `.trace.json` artifacts stay well
@@ -177,7 +173,7 @@ pub struct ScenarioConfig {
     /// Scheduled infrastructure faults (§3.8 chaos campaign). Empty by
     /// default.
     pub faults: FaultSchedule,
-    /// Observability configuration (event-ring depth, trace sampling).
+    /// Observability configuration (trace sampling).
     pub obs: ObsConfig,
 }
 
@@ -308,7 +304,6 @@ mod tests {
     #[test]
     fn obs_defaults_are_bounded() {
         let c = ScenarioConfig::default();
-        assert!(c.obs.event_ring_capacity >= 1);
         assert!(c.obs.trace_sample_every >= 1);
         c.validate();
     }

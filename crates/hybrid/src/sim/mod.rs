@@ -282,11 +282,11 @@ pub struct HybridSim {
 }
 
 impl HybridSim {
-    /// Create from a built scenario. The event-ring depth and the trace
-    /// sampling rate come from the scenario's `obs` section.
+    /// Create from a built scenario. The trace sampling rate comes from
+    /// the scenario's `obs` section.
     pub fn new(scenario: Scenario) -> Self {
         let rng = DetRng::seeded(scenario.config.seed ^ 0x73696d);
-        let metrics = MetricsRegistry::with_event_capacity(scenario.config.obs.event_ring_capacity);
+        let metrics = MetricsRegistry::new();
         let trace = TraceSink::new(scenario.config.obs.trace_sample_every);
         HybridSim {
             scenario,

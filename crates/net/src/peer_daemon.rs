@@ -9,9 +9,12 @@
 //!
 //! Concurrency model: plain threads and channels. Each remote peer
 //! connection gets a reader thread (and a writer thread for outbound
-//! messages); the edge fetch runs on its own thread; the download
-//! coordinator multiplexes all of them over one mpsc channel with
-//! `recv_timeout` providing the overall deadline.
+//! messages); the edge fetch runs on its own thread. The caller's thread
+//! is the coordinator: it feeds everything those threads (and the
+//! control reader, for the peer query) send on one mpsc channel into
+//! the sans-IO [`netsession_peer::download::Download`] machine, carries
+//! out the actions it returns, and ticks it at its `next_wake` — every
+//! protocol decision and timeout is the machine's.
 
 use crate::framing::{
     debug_assert_nodelay, nodelay, read_msg, read_msg_traced, wall_now, write_msg,
@@ -22,15 +25,17 @@ use netsession_core::error::{Error, Result};
 use netsession_core::hash::{sha256, Digest};
 use netsession_core::id::{Guid, ObjectId};
 use netsession_core::msg::{
-    ControlMsg, EdgeMsg, MonitorMsg, NatType, PeerAddr, ProblemKind, SwarmMsg,
+    AuthToken, ControlMsg, EdgeMsg, MonitorMsg, NatType, PeerAddr, PeerContact, ProblemKind,
+    SwarmMsg,
 };
 use netsession_core::piece::{Manifest, PieceMap};
 use netsession_core::policy::TransferConfig;
 use netsession_core::rng::DetRng;
+use netsession_core::time::SimTime;
 use netsession_core::units::ByteCount;
 use netsession_obs::{MetricsRegistry, SpanId, TraceCtx, TraceId, TraceSink};
+use netsession_peer::download::{Action, Completion, Download, Input, QueryEnd};
 use netsession_peer::governor::UploadGovernor;
-use netsession_peer::swarm::{SwarmEvent, SwarmSession};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,7 +60,8 @@ struct Inner {
     /// Whether the control link is currently established (§3.8: while it
     /// is down the daemon degrades to edge-only downloads).
     control_up: AtomicBool,
-    pending_query: Mutex<Option<mpsc::Sender<Vec<netsession_core::msg::PeerContact>>>>,
+    /// Where the answer to a download's peer query goes.
+    pending_query: Mutex<Option<mpsc::Sender<Input>>>,
     /// Monitoring node to push §3.6 problem reports to, when configured.
     monitor_addr: Mutex<Option<SocketAddr>>,
     metrics: MetricsRegistry,
@@ -81,6 +87,14 @@ impl Inner {
         self.metrics
             .gauge("net.peer.control_up")
             .set(if up { 1 } else { 0 });
+    }
+
+    /// The control link failed: the download waiting on a peer query, if
+    /// any, goes on without one.
+    fn fail_pending_query(&self) {
+        if let Some(tx) = self.pending_query.lock().unwrap().take() {
+            let _ = tx.send(Input::QueryFailed);
+        }
     }
 
     /// Push one problem report to the monitoring node (§3.6), if one is
@@ -343,329 +357,101 @@ impl PeerDaemon {
             other => return Err(Error::Network(format!("unexpected {other:?}"))),
         };
         let version = manifest.version;
-        let piece_count = manifest.piece_count();
 
-        // 2. Query the control plane for peers (p2p-enabled objects only).
-        // Every failure here degrades to an empty contact list — the edge
-        // backstop serves the whole object (§3.8: "peers can always fall
-        // back to downloading from the edge servers").
-        let control_up = self.inner.control_up.load(Ordering::Acquire);
-        let contacts = if policy.p2p_enabled && control_up {
-            let (tx, rx) = mpsc::channel();
-            *self.inner.pending_query.lock().unwrap() = Some(tx);
-            let qspan = trace.span(ctx, "query_peers", "control", wall_now().as_micros());
-            let queued = self.inner.queue_control((
-                ControlMsg::QueryPeers {
-                    token,
-                    max_peers: 8,
-                },
-                Some((ctx.trace, qspan)),
-            ));
-            let answer = match queued {
-                Ok(()) => rx.recv_timeout(Duration::from_secs(3)),
-                Err(_) => Err(mpsc::RecvTimeoutError::Disconnected),
-            };
-            match answer {
-                Ok(peers) => {
-                    trace.add_attr(qspan, "offered", peers.len() as u64);
-                    trace.end_span(qspan, wall_now().as_micros());
-                    peers
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    metrics.counter("net.peer.query_timeouts").incr();
-                    trace.add_attr(qspan, "error", "timeout");
-                    trace.end_span(qspan, wall_now().as_micros());
-                    Vec::new()
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    trace.add_attr(qspan, "error", "disconnected");
-                    trace.end_span(qspan, wall_now().as_micros());
-                    Vec::new()
-                }
-            }
-        } else {
-            if policy.p2p_enabled {
-                metrics.counter("net.peer.edge_only_downloads").incr();
-                trace.instant(ctx, "control_unreachable", "fault", wall_now().as_micros());
-            }
-            Vec::new()
-        };
-
-        // 3. Spawn the swarm connections.
-        #[allow(clippy::large_enum_variant)]
-        enum Ev {
-            Joined(Guid, PieceMap),
-            Msg(Guid, SwarmMsg),
-            Left(Guid),
-            EdgePiece(u32, Vec<u8>, Digest),
-            EdgeFailed(String),
-        }
-        let (ev_tx, ev_rx) = mpsc::channel::<Ev>();
+        // 2. Run the coordinator. It decides; this loop carries out its
+        // actions, and every answer — the control plane's, each peer's,
+        // the edge's — comes back on one channel, stamped with the time
+        // since the machine started.
+        let (ev_tx, ev_rx) = mpsc::channel::<Input>();
+        let edge_tx = spawn_edge_fetcher(edge, token, ev_tx.clone());
+        let started = Instant::now();
+        let clock = || SimTime(started.elapsed().as_micros() as u64);
+        let rng = DetRng::seeded(self.guid.0 as u64 ^ object.0);
+        let (mut machine, mut actions) = Download::start(manifest.clone(), &policy, rng, metrics);
         let mut peer_out: HashMap<Guid, mpsc::Sender<SwarmMsg>> = HashMap::new();
-        for contact in contacts.iter().take(8) {
-            let addr = SocketAddr::from((
-                std::net::Ipv4Addr::from(contact.addr.ip.to_be_bytes()),
-                contact.addr.port,
-            ));
-            let (out_tx, out_rx) = mpsc::channel::<SwarmMsg>();
-            peer_out.insert(contact.guid, out_tx);
-            let ev_tx = ev_tx.clone();
-            let my_guid = self.guid;
-            let remote_guid = contact.guid;
-            metrics.counter("net.peer.swarm_connections_out").incr();
-            let attempt = trace.instant(ctx, "connect_attempt", "peer", wall_now().as_micros());
-            // The GUID on a connect_attempt is the peer we dial — the
-            // *destination* of the connection, not its source.
-            trace.add_attr(
-                attempt,
-                "dst_guid",
-                format!("{:016x}", remote_guid.0 as u64),
-            );
-            let thread_trace = trace.clone();
-            let thread_inner = self.inner.clone();
-            let trace_ids = Some((ctx.trace, attempt)).filter(|_| ctx.sampled);
-            std::thread::spawn(move || {
-                let Ok(stream) = TcpStream::connect(addr).and_then(nodelay) else {
-                    thread_trace.add_attr(attempt, "result", "connect_failed");
-                    thread_inner.report_problem(
-                        ProblemKind::TraversalFailure,
-                        format!("connect to peer {:016x} failed", remote_guid.0 as u64),
-                    );
-                    let _ = ev_tx.send(Ev::Left(remote_guid));
-                    return;
-                };
-                // Bounded reads so an idle remote can't pin this thread
-                // past any download deadline.
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(90)));
-                let mut r = match stream.try_clone() {
-                    Ok(r) => r,
-                    Err(_) => {
-                        thread_trace.add_attr(attempt, "result", "connect_failed");
-                        let _ = ev_tx.send(Ev::Left(remote_guid));
-                        return;
+        let mut qspan = None;
+        let outcome = 'run: loop {
+            for action in actions {
+                match action {
+                    Action::QueryControl { max_peers } if self.control_connected() => {
+                        *self.inner.pending_query.lock().unwrap() = Some(ev_tx.clone());
+                        let span =
+                            trace.span(ctx, "query_peers", "control", wall_now().as_micros());
+                        qspan = Some(span);
+                        let query = ControlMsg::QueryPeers { token, max_peers };
+                        if self
+                            .inner
+                            .queue_control((query, Some((ctx.trace, span))))
+                            .is_err()
+                        {
+                            let _ = ev_tx.send(Input::QueryFailed);
+                        }
                     }
-                };
-                let mut w = stream;
-                if write_msg_traced(
-                    &mut w,
-                    &SwarmMsg::Handshake {
-                        guid: my_guid,
-                        token,
-                        version,
-                    },
-                    trace_ids,
-                )
-                .is_err()
-                {
-                    thread_trace.add_attr(attempt, "result", "handshake_failed");
-                    let _ = ev_tx.send(Ev::Left(remote_guid));
-                    return;
-                }
-                // Expect their handshake + have-map.
-                let hs: Option<SwarmMsg> = read_msg(&mut r).ok().flatten();
-                if !matches!(hs, Some(SwarmMsg::Handshake { .. })) {
-                    thread_trace.add_attr(attempt, "result", "handshake_failed");
-                    let _ = ev_tx.send(Ev::Left(remote_guid));
-                    return;
-                }
-                match read_msg::<_, SwarmMsg>(&mut r) {
-                    Ok(Some(SwarmMsg::HaveMap { pieces, words })) => {
-                        match SwarmMsg::decode_have_map(pieces, &words) {
-                            Ok(map) => {
-                                thread_trace.add_attr(attempt, "result", "connected");
-                                let _ = ev_tx.send(Ev::Joined(remote_guid, map));
+                    Action::QueryControl { .. } => {
+                        metrics.counter("net.peer.edge_only_downloads").incr();
+                        trace.instant(ctx, "control_unreachable", "fault", wall_now().as_micros());
+                        let _ = ev_tx.send(Input::QueryFailed);
+                    }
+                    Action::QueryEnded(end) => {
+                        let Some(span) = qspan.take() else { continue };
+                        match end {
+                            QueryEnd::Answered(offered) => {
+                                trace.add_attr(span, "offered", offered as u64)
                             }
-                            Err(_) => {
-                                thread_trace.add_attr(attempt, "result", "bad_have_map");
-                                let _ = ev_tx.send(Ev::Left(remote_guid));
-                                return;
+                            QueryEnd::TimedOut => {
+                                metrics.counter("net.peer.query_timeouts").incr();
+                                trace.add_attr(span, "error", "timeout");
                             }
+                            QueryEnd::Failed => trace.add_attr(span, "error", "disconnected"),
+                        }
+                        trace.end_span(span, wall_now().as_micros());
+                    }
+                    Action::Dial(contact) => {
+                        let out = self.dial(ctx, &contact, token, &manifest, &ev_tx);
+                        peer_out.insert(contact.guid, out);
+                    }
+                    Action::Send(guid, msg) => {
+                        if let Some(out) = peer_out.get(&guid) {
+                            let _ = out.send(msg);
                         }
                     }
-                    _ => {
-                        thread_trace.add_attr(attempt, "result", "handshake_failed");
-                        let _ = ev_tx.send(Ev::Left(remote_guid));
-                        return;
-                    }
-                }
-                // Full duplex: a writer thread drains out_rx while this
-                // thread keeps reading events.
-                std::thread::spawn(move || {
-                    while let Ok(msg) = out_rx.recv() {
-                        if write_msg(&mut w, &msg).is_err() {
-                            break;
+                    Action::RequestEdge(piece) => {
+                        if edge_tx.send(piece).is_err() {
+                            let _ = ev_tx.send(Input::EdgeFailed);
                         }
                     }
-                });
-                while let Ok(Some(msg)) = read_msg::<_, SwarmMsg>(&mut r) {
-                    if ev_tx.send(Ev::Msg(remote_guid, msg)).is_err() {
-                        break;
-                    }
-                }
-                let _ = ev_tx.send(Ev::Left(remote_guid));
-            });
-        }
-
-        // Edge fetch thread: one outstanding piece request at a time.
-        let (edge_req_tx, edge_req_rx) = mpsc::channel::<u32>();
-        let ev_tx_edge = ev_tx.clone();
-        std::thread::spawn(move || {
-            while let Ok(piece) = edge_req_rx.recv() {
-                if write_msg(&mut edge, &EdgeMsg::GetPiece { token, piece }).is_err() {
-                    let _ = ev_tx_edge.send(Ev::EdgeFailed("edge write".into()));
-                    return;
-                }
-                match read_msg::<_, EdgeMsg>(&mut edge) {
-                    Ok(Some(EdgeMsg::PieceData {
-                        piece,
-                        data,
-                        digest,
-                    })) => {
-                        if ev_tx_edge.send(Ev::EdgePiece(piece, data, digest)).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(Some(EdgeMsg::Denied { reason })) => {
-                        let _ = ev_tx_edge.send(Ev::EdgeFailed(reason));
-                        return;
-                    }
-                    _ => {
-                        let _ = ev_tx_edge.send(Ev::EdgeFailed("edge read".into()));
-                        return;
-                    }
+                    Action::Report(kind, detail) => self.inner.report_problem(kind, detail),
+                    Action::Done(done) => break 'run Some(done),
+                    Action::Failed => break 'run None,
                 }
             }
-        });
-        drop(ev_tx);
-
-        // 4. Coordinate.
-        let mut session = SwarmSession::new(manifest.clone(), PieceMap::empty(piece_count));
-        // Verified pieces are copied once, straight to their offset.
-        let mut content = vec![0u8; manifest.size.bytes() as usize];
-        let piece_size = manifest.piece_size as usize;
-        let piece_bytes_hist = metrics.histogram("net.peer.piece_bytes");
-        let mut keep = |piece: u32, data: &[u8]| {
-            piece_bytes_hist.record(data.len() as u64);
-            let at = piece as usize * piece_size;
-            content[at..at + data.len()].copy_from_slice(data);
+            let wake = machine.next_wake().unwrap_or_default();
+            let wait = Duration::from_micros(wake.0.saturating_sub(clock().0));
+            let input = ev_rx.recv_timeout(wait).unwrap_or(Input::Tick);
+            if let Input::Left(guid) = &input {
+                peer_out.remove(guid);
+            }
+            actions = machine.step(clock(), input);
         };
-        let mut rng = DetRng::seeded(self.guid.0 as u64 ^ object.0);
-        let mut bytes_from_edge = 0u64;
-        let mut bytes_from_peers = 0u64;
-        let mut contributors: std::collections::HashSet<Guid> = Default::default();
-        let mut edge_busy = false;
-        let mut edge_alive = true;
 
-        let deadline = Instant::now() + Duration::from_secs(60);
-        // When the control plane returned peers, give their handshakes a
-        // head start before engaging the edge backstop; on a fast local
-        // link the edge would otherwise win the race for every piece and
-        // the swarm would never contribute (§3.3: the edge covers what the
-        // peers don't, it doesn't compete with them).
-        let edge_hold_until = if contacts.is_empty() {
-            Instant::now()
-        } else {
-            Instant::now() + Duration::from_millis(400)
-        };
-        while !session.is_complete() {
-            let now = Instant::now();
-            // Keep the edge backstop busy.
-            if edge_alive && !edge_busy && now >= edge_hold_until {
-                if let Some(piece) = session.next_edge_piece() {
-                    if edge_req_tx.send(piece).is_ok() {
-                        edge_busy = true;
-                    } else {
-                        edge_alive = false;
-                    }
-                }
-            }
-            // Wake at the hold boundary so the backstop engages even if no
-            // swarm event ever arrives.
-            let wake = if now < edge_hold_until {
-                edge_hold_until.min(deadline)
-            } else {
-                deadline
-            };
-            let ev = match ev_rx.recv_timeout(wake.saturating_duration_since(now)) {
-                Ok(ev) => ev,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        metrics.counter("net.peer.downloads_failed").incr();
-                        self.inner.report_problem(
-                            ProblemKind::DownloadFailure,
-                            format!("object {} timed out", object.0),
-                        );
-                        return Err(Error::Network("download timed out or stalled".into()));
-                    }
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    metrics.counter("net.peer.downloads_failed").incr();
-                    self.inner.report_problem(
-                        ProblemKind::DownloadFailure,
-                        format!("object {} stalled", object.0),
-                    );
-                    return Err(Error::Network("download timed out or stalled".into()));
-                }
-            };
-            let events = match ev {
-                Ev::Joined(guid, map) => session.on_peer_joined(guid, map, &mut rng),
-                Ev::Left(guid) => {
-                    peer_out.remove(&guid);
-                    session.on_peer_left(guid);
-                    Vec::new()
-                }
-                // The coordinator keeps the piece and lends it to the
-                // session to verify, so verified bytes are never cloned.
-                Ev::Msg(
-                    guid,
-                    SwarmMsg::Piece {
-                        piece,
-                        data,
-                        digest,
-                    },
-                ) => {
-                    let events = session.on_peer_piece(guid, piece, &data, digest, &mut rng);
-                    if events.contains(&SwarmEvent::PieceVerified(piece)) {
-                        bytes_from_peers += data.len() as u64;
-                        contributors.insert(guid);
-                        keep(piece, &data);
-                    }
-                    events
-                }
-                Ev::Msg(guid, msg) => session.on_message(guid, msg, &mut rng),
-                Ev::EdgePiece(piece, data, digest) => {
-                    edge_busy = false;
-                    let events = session.on_edge_piece(piece, &data, digest);
-                    if events.contains(&SwarmEvent::PieceVerified(piece)) {
-                        bytes_from_edge += data.len() as u64;
-                        keep(piece, &data);
-                    }
-                    events
-                }
-                Ev::EdgeFailed(_reason) => {
-                    edge_alive = false;
-                    edge_busy = false;
-                    Vec::new()
-                }
-            };
-            for event in events {
-                if let SwarmEvent::Send(guid, msg) = event {
-                    if let Some(out) = peer_out.get(&guid) {
-                        let _ = out.send(msg);
-                    }
-                }
-            }
-        }
-
-        // 5. Assemble, store, register, report. Dropping the channel ends
-        // the edge fetch thread; Goodbye + dropped senders wind down the
-        // per-peer threads.
-        for (guid, out) in &peer_out {
+        // 3. Wind down: Goodbye + dropped senders end the per-peer
+        // threads; dropping `edge_tx` ends the edge fetcher.
+        for out in peer_out.values() {
             let _ = out.send(SwarmMsg::Goodbye);
-            let _ = guid;
         }
-        drop(edge_req_tx);
+        drop(edge_tx);
+        let Some(Completion {
+            content,
+            bytes_from_edge,
+            bytes_from_peers,
+            peer_sources,
+        }) = outcome
+        else {
+            metrics.counter("net.peer.downloads_failed").incr();
+            return Err(Error::Network("download timed out or stalled".into()));
+        };
+
+        // 4. Store, register, report.
         let content_hash = sha256(&content);
         let uploads_enabled = {
             let store = &self.inner.store;
@@ -717,8 +503,101 @@ impl PeerDaemon {
             bytes_from_edge,
             bytes_from_peers,
             content_hash,
-            peer_sources: contributors.len(),
+            peer_sources,
         })
+    }
+
+    /// Dial one contact on its own thread: handshake, read its have-map,
+    /// then feed its messages to the coordinator until the connection
+    /// ends. Returns the channel that a writer thread drains to the peer.
+    fn dial(
+        &self,
+        ctx: TraceCtx,
+        contact: &PeerContact,
+        token: AuthToken,
+        manifest: &Manifest,
+        ev_tx: &mpsc::Sender<Input>,
+    ) -> mpsc::Sender<SwarmMsg> {
+        let addr = SocketAddr::from((
+            std::net::Ipv4Addr::from(contact.addr.ip.to_be_bytes()),
+            contact.addr.port,
+        ));
+        let remote_guid = contact.guid;
+        let trace = self.inner.trace.clone();
+        self.inner
+            .metrics
+            .counter("net.peer.swarm_connections_out")
+            .incr();
+        let attempt = trace.instant(ctx, "connect_attempt", "peer", wall_now().as_micros());
+        // The GUID on a connect_attempt is the peer we dial — the
+        // *destination* of the connection, not its source.
+        trace.add_attr(
+            attempt,
+            "dst_guid",
+            format!("{:016x}", remote_guid.0 as u64),
+        );
+        let trace_ids = Some((ctx.trace, attempt)).filter(|_| ctx.sampled);
+        let handshake = SwarmMsg::Handshake {
+            guid: self.guid,
+            token,
+            version: manifest.version,
+        };
+        let piece_count = manifest.piece_count();
+        let (out_tx, out_rx) = mpsc::channel::<SwarmMsg>();
+        let ev_tx = ev_tx.clone();
+        let inner = self.inner.clone();
+        std::thread::spawn(move || {
+            let joined = (|| {
+                let stream = TcpStream::connect(addr).and_then(nodelay).map_err(|_| {
+                    inner.report_problem(
+                        ProblemKind::TraversalFailure,
+                        format!("connect to peer {:016x} failed", remote_guid.0 as u64),
+                    );
+                    "connect_failed"
+                })?;
+                // Bounded reads so an idle remote can't pin this thread
+                // past any download deadline.
+                let _ = stream.set_read_timeout(Some(Duration::from_secs(90)));
+                let mut r = stream.try_clone().map_err(|_| "connect_failed")?;
+                let mut w = stream;
+                write_msg_traced(&mut w, &handshake, trace_ids).map_err(|_| "handshake_failed")?;
+                // Expect their handshake + have-map.
+                let Ok(Some(SwarmMsg::Handshake { .. })) = read_msg(&mut r) else {
+                    return Err("handshake_failed");
+                };
+                let Ok(Some(SwarmMsg::HaveMap { pieces, words })) = read_msg(&mut r) else {
+                    return Err("handshake_failed");
+                };
+                let map = SwarmMsg::decode_have_map(pieces, &words)
+                    .ok()
+                    .filter(|map| map.len() == piece_count)
+                    .ok_or("bad_have_map")?;
+                Ok((r, w, map))
+            })();
+            match joined {
+                Ok((mut r, mut w, map)) => {
+                    trace.add_attr(attempt, "result", "connected");
+                    let _ = ev_tx.send(Input::Joined(remote_guid, map));
+                    // Full duplex: a writer thread drains out_rx while this
+                    // thread keeps reading.
+                    std::thread::spawn(move || {
+                        while let Ok(msg) = out_rx.recv() {
+                            if write_msg(&mut w, &msg).is_err() {
+                                break;
+                            }
+                        }
+                    });
+                    while let Ok(Some(msg)) = read_msg::<_, SwarmMsg>(&mut r) {
+                        if ev_tx.send(Input::PeerMsg(remote_guid, msg)).is_err() {
+                            break;
+                        }
+                    }
+                }
+                Err(result) => trace.add_attr(attempt, "result", result),
+            }
+            let _ = ev_tx.send(Input::Left(remote_guid));
+        });
+        out_tx
     }
 
     /// Shut the daemon down: log out, stop the control link, and close
@@ -727,6 +606,36 @@ impl PeerDaemon {
         let _ = self.inner.queue_control((ControlMsg::Logout, None));
         self.stop.store(true, Ordering::Relaxed);
     }
+}
+
+/// The edge fetcher: answers the coordinator's piece requests in order
+/// over the authorized edge connection, until the request channel closes
+/// or the edge fails.
+fn spawn_edge_fetcher(
+    mut edge: TcpStream,
+    token: AuthToken,
+    ev_tx: mpsc::Sender<Input>,
+) -> mpsc::Sender<u32> {
+    let (req_tx, req_rx) = mpsc::channel::<u32>();
+    std::thread::spawn(move || {
+        while let Ok(piece) = req_rx.recv() {
+            let answer = write_msg(&mut edge, &EdgeMsg::GetPiece { token, piece })
+                .and_then(|()| read_msg::<_, EdgeMsg>(&mut edge));
+            let Ok(Some(EdgeMsg::PieceData {
+                piece,
+                data,
+                digest,
+            })) = answer
+            else {
+                let _ = ev_tx.send(Input::EdgeFailed);
+                return;
+            };
+            if ev_tx.send(Input::EdgePiece(piece, data, digest)).is_err() {
+                return;
+            }
+        }
+    });
+    req_tx
 }
 
 /// Maximum exponent for the reconnect backoff: 50ms << 5 = 1.6s cap.
@@ -877,12 +786,12 @@ fn run_control_link(
                 }
             }
         }
-        // Link failed: degrade. Dropping the pending-query sender wakes
-        // any download blocked on a peer query so it proceeds edge-only
-        // immediately instead of waiting out its timeout.
+        // Link failed: degrade. Failing the pending query lets a download
+        // waiting on it proceed edge-only at once instead of waiting out
+        // its timeout.
         inner.set_control_up(false);
         inner.metrics.counter("net.peer.control_disconnects").incr();
-        inner.pending_query.lock().unwrap().take();
+        inner.fail_pending_query();
     }
 }
 
@@ -897,7 +806,7 @@ fn spawn_control_reader(mut read_half: TcpStream, inner: Arc<Inner>, link_down: 
             match msg {
                 ControlMsg::PeerList { peers, .. } => {
                     if let Some(tx) = inner.pending_query.lock().unwrap().take() {
-                        let _ = tx.send(peers);
+                        let _ = tx.send(Input::PeerList(peers));
                     }
                 }
                 ControlMsg::ReAdd => {
@@ -919,7 +828,7 @@ fn spawn_control_reader(mut read_half: TcpStream, inner: Arc<Inner>, link_down: 
         link_down.store(true, Ordering::Relaxed);
         // Fail any in-flight query right away (the supervisor also does
         // this, but it may be up to 100ms behind).
-        inner.pending_query.lock().unwrap().take();
+        inner.fail_pending_query();
     });
 }
 

@@ -14,6 +14,7 @@
 
 use crate::picker::PiecePicker;
 
+use netsession_core::hash::Digest;
 use netsession_core::id::Guid;
 use netsession_core::msg::SwarmMsg;
 use netsession_core::piece::{Manifest, PieceIndex, PieceMap};
@@ -54,11 +55,17 @@ pub struct SwarmSession {
     picker: PiecePicker,
     remotes: HashMap<Guid, RemotePeer>,
     metrics: MetricsRegistry,
+    /// Simulation flavour: a piece that carries no bytes is verified by
+    /// its digest alone. Off in a live session, where the manifest's
+    /// digests are public and only the bytes prove a piece.
+    trust_digests: bool,
 }
 
 impl SwarmSession {
-    /// Start a session, resuming from an existing piece map if the cache
-    /// holds partial progress.
+    /// Start a simulation-flavour session, resuming from an existing
+    /// piece map if the cache holds partial progress. Transfers here may
+    /// carry digests instead of bytes: a piece with no bytes is verified
+    /// by its digest.
     pub fn new(manifest: Manifest, mine: PieceMap) -> Self {
         assert_eq!(mine.len(), manifest.piece_count());
         let picker = PiecePicker::new(manifest.piece_count());
@@ -68,6 +75,16 @@ impl SwarmSession {
             picker,
             remotes: HashMap::new(),
             metrics: MetricsRegistry::new(),
+            trust_digests: true,
+        }
+    }
+
+    /// Start a live session: every piece is verified by its bytes, so a
+    /// piece that carries none fails whatever digest it claims.
+    pub fn live(manifest: Manifest, mine: PieceMap) -> Self {
+        SwarmSession {
+            trust_digests: false,
+            ..SwarmSession::new(manifest, mine)
         }
     }
 
@@ -96,14 +113,18 @@ impl SwarmSession {
     }
 
     /// A remote finished handshaking and sent its have-map. Returns
-    /// follow-up actions (typically an immediate request).
+    /// follow-up actions (typically an immediate request). A map whose
+    /// length is not the manifest's piece count is a failed join: the
+    /// remote is not added and nothing is returned.
     pub fn on_peer_joined(
         &mut self,
         guid: Guid,
         their_map: PieceMap,
         rng: &mut DetRng,
     ) -> Vec<SwarmEvent> {
-        assert_eq!(their_map.len(), self.manifest.piece_count());
+        if their_map.len() != self.manifest.piece_count() {
+            return Vec::new();
+        }
         self.picker.peer_joined(&their_map);
         self.metrics.counter("peer.swarm_peers_joined").incr();
         self.remotes.insert(
@@ -170,22 +191,22 @@ impl SwarmSession {
 
     /// Handle a [`SwarmMsg::Piece`] from a remote, borrowing the bytes: a
     /// caller that keeps verified pieces (the live daemon) holds on to
-    /// `data` and stores it when a `PieceVerified` comes back.
+    /// `data` and stores it when a `PieceVerified` comes back. A piece
+    /// that does not answer the remote's outstanding request is dropped
+    /// unread, so a remote cannot free another source's request.
     pub fn on_peer_piece(
         &mut self,
         from: Guid,
         piece: PieceIndex,
         data: &[u8],
-        digest: netsession_core::hash::Digest,
+        digest: Digest,
         rng: &mut DetRng,
     ) -> Vec<SwarmEvent> {
         let mut out = Vec::new();
-        let ok = if data.is_empty() {
-            // Simulation flavour: verify by digest.
-            self.manifest.verify_digest(piece, digest)
-        } else {
-            self.manifest.verify_piece(piece, data)
-        };
+        if self.remotes.get(&from).and_then(|r| r.in_flight) != Some(piece) {
+            return out;
+        }
+        let ok = self.verify(piece, data, digest);
         self.picker.request_finished(piece);
         if let Some(remote) = self.remotes.get_mut(&from) {
             remote.in_flight = None;
@@ -243,13 +264,9 @@ impl SwarmSession {
         &mut self,
         piece: PieceIndex,
         data: &[u8],
-        digest: netsession_core::hash::Digest,
+        digest: Digest,
     ) -> Vec<SwarmEvent> {
-        let ok = if data.is_empty() {
-            self.manifest.verify_digest(piece, digest)
-        } else {
-            self.manifest.verify_piece(piece, data)
-        };
+        let ok = self.verify(piece, data, digest);
         self.picker.request_finished(piece);
         let mut out = Vec::new();
         if ok && self.mine.set(piece) {
@@ -263,6 +280,16 @@ impl SwarmSession {
             }
         }
         out
+    }
+
+    /// Check a piece against the manifest: by its bytes, or by its digest
+    /// alone when it carries none and the session trusts digests.
+    fn verify(&self, piece: PieceIndex, data: &[u8], digest: Digest) -> bool {
+        if self.trust_digests && data.is_empty() {
+            self.manifest.verify_digest(piece, digest)
+        } else {
+            self.manifest.verify_piece(piece, data)
+        }
     }
 
     /// Issue requests to every idle remote (call after joins/stalls).
